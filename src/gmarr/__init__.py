@@ -15,8 +15,9 @@ complement varies along a one-parameter degeneration of the arrangement:
 * ``aomoto_kita`` — general-position connection matrices for each dependent
   index set.
 * ``gauss_manin`` — degeneration paths, vanishing-order multiplicities, the
-  combined connection of a degeneration, the linear solve for the connection
-  matrix in the degenerate basis, and the codimension-one closed form.
+  combined connection of a degeneration, the connection matrix in the
+  degenerate basis (read off the unit rows of the projection and verified on
+  every row), and the codimension-one closed form.
 * ``cli`` — file formats and the ``gmarr`` command-line tool.
 """
 

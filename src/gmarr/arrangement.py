@@ -166,10 +166,6 @@ class Realization:
         return Realization(rows, allow_coincident=allow_coincident)
 
 
-def minor(r: Realization, I: Iterable[int]):
-    return r.minor(I)
-
-
 class CombinatorialType:
     """(n, ℓ, dep): which (ℓ+1)-subsets of the projective closure degenerate."""
 

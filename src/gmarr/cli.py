@@ -17,10 +17,11 @@ sets at the witness (``"declared_dep"``) and at ``t = 0``
 (``"declared_dep_prime"``) as lists of index lists; declared sets are checked
 against what the rows actually realize, never trusted.
 
-All output is byte-deterministic: the same invocation prints the same bytes
-regardless of ``--jobs``.  Exit status is 0 on success, 1 on a domain error
-(bad file, resonant weights, invalid path), and 2 on a verification failure
-(an inconsistent linear system, or a mismatch found by ``verify-paper``).
+All output is byte-deterministic: the same invocation prints the same bytes.
+``connection --jobs N`` is still accepted but has no effect.  Exit status is
+0 on success, 1 on a domain error (bad file, resonant weights, invalid path),
+and 2 on a verification failure (an inconsistent linear system, or a
+mismatch found by ``verify-paper``).
 In ``--format json`` mode errors are reported on stdout as
 ``{"error": "..."}``; in text mode they go to stderr.
 """
@@ -449,7 +450,7 @@ def _cmd_multiplicity(ns) -> str:
 def _cmd_connection(ns) -> str:
     pf, dp = _path_from_file(ns)
     w = _pick_weights(ns, pf.weights)
-    omega, mult = connection_for_path(dp, w, jobs=ns.jobs)
+    omega, mult = connection_for_path(dp, w)
     text, payload = _mult_payload(dp, mult)
     text.append(
         f"connection matrix on the frame basis of the type "
@@ -522,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if jobs:
             sp.add_argument(
                 "--jobs", type=int, default=1, metavar="N",
-                help="worker threads for independent per-J blocks",
+                help="accepted for compatibility; has no effect",
             )
 
     sp = sub.add_parser("analyze", help="combinatorial type, frames, dense edges")
@@ -571,8 +572,6 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
-    if not hasattr(ns, "jobs"):
-        ns.jobs = 1
     try:
         if ns.command == "verify-paper":
             out, code = _cmd_verify(ns)

@@ -1,20 +1,21 @@
-"""Degeneration paths, vanishing multiplicities, and the connection solve.
+"""Degeneration paths, vanishing multiplicities, and the connection matrix.
 
 A one-parameter family of arrangements (rows over PathPoly) realizes a type
 T away from finitely many parameter values and a more degenerate type T' at
 t = 0.  For each newly dependent (ℓ+1)-subset J the multiplicity m_J is the
 order of vanishing of the corresponding minor along the path.  The connection
-matrix on the degenerate-locus side solves
+matrix on the degenerate-locus side is the Ω with
 
     P(T) · Ω = (Σ_J m_J · Ω_general(J)) · P(T)
 
-exactly over the weight field, with every residual row verified.
+over the weight field.  Every frame of T labels a unit row of P(T), so Ω is
+read off the right-hand side at those rows; every row of the equation is
+then checked exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -29,8 +30,8 @@ from .arrangement import (
     compute_type,
     stv_check,
 )
-from .exact import MultiPoly, RatFunc, _as_fraction, poly_exact_div, poly_gcd
-from .linalg import fraction_free_echelon, mat_mul, solve_all
+from .exact import RatFunc, _as_fraction
+from .linalg import mat_mul
 from .orlik_solomon import ProjectionMatrix, ResonantWeights, projection_matrix
 
 COVER_CAVEAT = (
@@ -173,14 +174,9 @@ def combined_omega(
     n: int,
     ell: int,
     w: Weights | None = None,
-    jobs: int = 1,
 ) -> ConnectionMatrix:
-    """Σ_J m_J · omega_general(J) over the general-position basis.
-
-    With jobs > 1 the per-J matrices are computed on a thread pool; the
-    weighted sum is always taken in sorted-J order, so the result (and any
-    rendering of it) is identical for every jobs value.
-    """
+    """Σ_J m_J · omega_general(J) over the general-position basis, summed in
+    sorted-J order."""
     if (T.n, T.ell) != (n, ell) or (Tprime.n, Tprime.ell) != (n, ell):
         raise ValueError("types disagree with the supplied n, ell")
     if not T.dep <= Tprime.dep:
@@ -207,13 +203,9 @@ def combined_omega(
         m = table[J]
         if not (isinstance(m, int) and m >= 1):
             raise ValueError(f"multiplicity for {J} must be a positive integer")
-    if jobs > 1 and len(order) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            mats = list(pool.map(lambda J: omega_general(J, n, ell, w), order))
-    else:
-        mats = [omega_general(J, n, ell, w) for J in order]
-    for J, M in zip(order, mats):
+    for J in order:
         m = table[J]
+        M = omega_general(J, n, ell, w)
         for i in range(len(basis)):
             row = M.entries[i]
             for j in range(len(basis)):
@@ -222,110 +214,54 @@ def combined_omega(
     return ConnectionMatrix(basis=basis, entries=tuple(tuple(r) for r in acc))
 
 
-def _clear_denominators(entries):
-    """Turn a field matrix into a domain matrix by one global denominator.
-
-    Returns (domain_rows, kind) where kind is 'poly' or 'rational'.
-    """
-    nvars = None
-    for row in entries:
-        for e in row:
-            if isinstance(e, RatFunc):
-                nvars = e.num.nvars
-            elif isinstance(e, MultiPoly):
-                nvars = e.nvars
-            elif not isinstance(e, (Fraction, int)):
-                raise TypeError(f"unsupported matrix entry type {type(e).__name__}")
-    if nvars is None:
-        return [[_as_fraction(e) for e in row] for row in entries], "rational"
-    # promote everything to RatFunc to read off numerators and denominators
-    lifted = []
-    for row in entries:
-        out = []
-        for e in row:
-            if isinstance(e, RatFunc):
-                out.append(e)
-            elif isinstance(e, MultiPoly):
-                out.append(RatFunc(e))
-            else:
-                out.append(RatFunc(MultiPoly.const(nvars, _as_fraction(e))))
-        lifted.append(out)
-    common = MultiPoly.const(nvars, 1)
-    for row in lifted:
-        for e in row:
-            den = e.den
-            if den.is_const():
-                continue
-            g = poly_gcd(common, den)
-            common = poly_exact_div(common * den, g)
-    cleared = [
-        [e.num * poly_exact_div(common, e.den) for e in row] for row in lifted
-    ]
-    return cleared, "poly"
-
-
 def solve_connection(P: ProjectionMatrix, B: ConnectionMatrix) -> ConnectionMatrix:
-    """Solve P·Ω = B·P for Ω exactly and verify every row of the system.
+    """Read Ω off P·Ω = B·P and verify every row of the system exactly.
 
-    Rows of P are selected greedily in order until an invertible square
-    block is found (fraction-free rank tests, deterministic); the remaining
-    rows are then checked against the solved Ω and any exact mismatch is
-    reported as an inconsistency.
+    Each frame of the column basis also labels a row of P, and that row is
+    the frame's unit vector, so its row of P·Ω is its row of Ω: Ω's row for
+    the frame is B·P's row for it.  No elimination is run.  A frame that
+    labels no row of P, or whose row is not its unit vector, is reported as
+    an inconsistency; so is any row of P·Ω that differs from B·P.
     """
     if P.row_basis != B.basis:
         raise ValueError("projection rows and connection basis disagree")
-    k = len(P.col_basis)
-    if k == 0:
+    if not P.col_basis:
         return ConnectionMatrix(basis=(), entries=())
-    domain_p, _ = _clear_denominators(P.entries)
-    rhs_full = mat_mul(B.entries, domain_p)
-
-    kept: list[int] = []
-    kept_rows: list[list] = []
-    current_rank = 0
-    for i, row in enumerate(domain_p):
-        trial = kept_rows + [list(row)]
-        r = fraction_free_echelon(trial).rank
-        if r > current_rank:
-            kept.append(i)
-            kept_rows.append(list(row))
-            current_rank = r
-        if current_rank == k:
-            break
-    if current_rank < k:
-        raise InconsistentSystem(
-            None,
-            f"projection matrix has column rank {current_rank} < {k}; "
-            "cannot determine a connection matrix",
-        )
-    square = [domain_p[i] for i in kept]
-    rhs = [rhs_full[i] for i in kept]
-    res = solve_all(square, rhs)
-    omega = tuple(
-        tuple(res.solution[i][j] for j in range(k)) for i in range(k)
-    )
-    # verify every row of the original field-level equation
-    lhs_all = mat_mul(P.entries, [list(row) for row in omega])
-    rhs_all = mat_mul(B.entries, [list(row) for row in P.entries])
+    rhs = mat_mul(B.entries, P.entries)
+    row_of = {label: i for i, label in enumerate(P.row_basis)}
+    omega = []
+    for j, frame in enumerate(P.col_basis):
+        i = row_of.get(frame)
+        if i is None:
+            raise InconsistentSystem(
+                frame, f"frame {frame} of the target type labels no row of P"
+            )
+        row = P.entries[i]
+        if row[j] != 1 or any(e for c, e in enumerate(row) if c != j):
+            raise InconsistentSystem(
+                frame, f"the row of P for the frame {frame} is not its unit vector"
+            )
+        omega.append(tuple(rhs[i]))
+    lhs = mat_mul(P.entries, omega)
     for i, label in enumerate(P.row_basis):
-        for j in range(k):
-            if not (lhs_all[i][j] == rhs_all[i][j]):
-                raise InconsistentSystem(
-                    label,
-                    f"connection equation fails on the row for {label}: "
-                    "resonant weights, an invalid path, or inconsistent bases",
-                )
-    return ConnectionMatrix(basis=P.col_basis, entries=omega)
+        if lhs[i] != rhs[i]:
+            raise InconsistentSystem(
+                label,
+                f"connection equation fails on the row for {label}: "
+                "resonant weights, an invalid path, or inconsistent bases",
+            )
+    return ConnectionMatrix(basis=P.col_basis, entries=tuple(omega))
 
 
 def connection_for_path(
-    p: DegenerationPath, w: Weights | None = None, jobs: int = 1
+    p: DegenerationPath, w: Weights | None = None
 ) -> tuple[ConnectionMatrix, MultiplicityTable]:
-    """End-to-end: multiplicities, combined general matrix, projection, solve."""
+    """End-to-end: multiplicities, combined general matrix, projection, and
+    the verified read-off of Ω."""
     if w is None:
         w = Weights.generic(p.T.n)
     mult = multiplicities(p)
-    B = combined_omega(p.T, p.Tprime, mult, p.T.n, p.T.ell, w, jobs=jobs)
+    B = combined_omega(p.T, p.Tprime, mult, p.T.n, p.T.ell, w)
     P = projection_matrix(p.T, w)
     return solve_connection(P, B), mult
 

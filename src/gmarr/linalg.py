@@ -30,12 +30,11 @@ def _to_field(x):
 
 
 class EchelonResult:
-    __slots__ = ("rows", "pivots", "sign")
+    __slots__ = ("rows", "pivots")
 
-    def __init__(self, rows, pivots, sign):
+    def __init__(self, rows, pivots):
         self.rows = rows          # echelon form, Bareiss-scaled
         self.pivots = pivots      # list of (row, col)
-        self.sign = sign          # parity of row swaps
 
     @property
     def rank(self) -> int:
@@ -52,7 +51,6 @@ def fraction_free_echelon(matrix: Sequence[Sequence], ncols: int | None = None) 
     if ncols is None:
         ncols = width
     pivots: list[tuple[int, int]] = []
-    sign = 1
     prev = None
     pr = 0
     for c in range(ncols):
@@ -61,7 +59,6 @@ def fraction_free_echelon(matrix: Sequence[Sequence], ncols: int | None = None) 
             continue
         if piv != pr:
             m[pr], m[piv] = m[piv], m[pr]
-            sign = -sign
         p = m[pr][c]
         for i in range(pr + 1, nr):
             row = m[i]
@@ -77,28 +74,7 @@ def fraction_free_echelon(matrix: Sequence[Sequence], ncols: int | None = None) 
         pr += 1
         if pr == nr:
             break
-    return EchelonResult(m, pivots, sign)
-
-
-def rank(matrix: Sequence[Sequence]) -> int:
-    if not matrix:
-        return 0
-    return fraction_free_echelon(matrix).rank
-
-
-def det(matrix: Sequence[Sequence]):
-    """Exact determinant of a square matrix (Bareiss: the final pivot)."""
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix has no determinant")
-    if any(len(r) != n for r in matrix):
-        raise ValueError("matrix is not square")
-    ech = fraction_free_echelon(matrix)
-    sample = matrix[0][0]
-    if ech.rank < n:
-        return sample - sample  # domain zero
-    r, c = ech.pivots[-1]
-    return ech.rows[r][c] if ech.sign == 1 else -ech.rows[r][c]
+    return EchelonResult(m, pivots)
 
 
 class SolveResult:
@@ -153,7 +129,8 @@ def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]):
     if not A or not B:
         return []
     k = len(B)
-    assert all(len(row) == k for row in A), "inner dimensions disagree"
+    if any(len(row) != k for row in A):
+        raise ValueError("inner dimensions disagree")
     cols = len(B[0])
     out = []
     for row in A:

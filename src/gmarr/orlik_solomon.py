@@ -195,19 +195,6 @@ def straighten(S: Iterable[int], T: CombinatorialType) -> OSElement:
     return OSElement(len(S), _straightener(T).rewrite(S))
 
 
-def a_lambda_element(T: CombinatorialType, w: Weights) -> OSElement:
-    """The degree-one twisting form Σ_j λ_j a_j (straightened)."""
-    acc: dict[tuple[int, ...], object] = {}
-    eng = _straightener(T)
-    for j in range(1, T.n + 1):
-        lam = w.weight(j)
-        for key, val in eng.rewrite((j,)).items():
-            term = lam * val
-            cur = acc.get(key)
-            acc[key] = term if cur is None else cur + term
-    return OSElement(1, acc)
-
-
 def a_lambda_matrix(T: CombinatorialType, w: Weights, q: int):
     """Matrix of a_λ∧· from degree q to degree q+1 in the nbc bases.
 

@@ -37,6 +37,7 @@ from gmarr import (
     solve_connection,
 )
 from gmarr.exact import PathPoly, parse_path_poly
+from gmarr.linalg import mat_mul
 from gmarr.reference import render_scalar
 
 from _helpers import cofactor_det, random_nonresonant_weights
@@ -359,15 +360,6 @@ def test_combined_omega_shape_errors():
         combined_omega(p.Tprime, p.T, {(3, 4, 5): 1}, 4, 2)
 
 
-def test_combined_omega_jobs_deterministic():
-    p = _path(PATH_SELBERG)
-    table = multiplicities(p)
-    w = Weights.generic(5)
-    base = combined_omega(p.T, p.Tprime, table, 5, 2, w)
-    for jobs in (2, 3, 8):
-        assert combined_omega(p.T, p.Tprime, table, 5, 2, w, jobs=jobs) == base
-
-
 # ---------------------------------------------------------------------------
 # the solved connection
 # ---------------------------------------------------------------------------
@@ -490,6 +482,43 @@ def test_solve_connection_basis_mismatch():
     )
     with pytest.raises(ValueError, match="disagree"):
         solve_connection(P, bad)
+
+
+def _zero_connection(basis):
+    return ConnectionMatrix(
+        basis=basis, entries=((Fraction(0),) * len(basis),) * len(basis)
+    )
+
+
+def test_solve_connection_non_unit_frame_row():
+    F = Fraction
+    rows = ((2, 3), (2, 4), (3, 4))
+    P = ProjectionMatrix(
+        row_basis=rows,
+        col_basis=((2, 4), (3, 4)),
+        entries=((F(1), F(1)), (F(1), F(1, 2)), (F(0), F(1))),
+    )
+    with pytest.raises(InconsistentSystem) as exc:
+        solve_connection(P, _zero_connection(rows))
+    assert exc.value.row_label == (2, 4)
+
+
+def test_solve_connection_frame_without_row():
+    F = Fraction
+    rows = ((2, 3), (2, 4), (3, 4))
+    P = ProjectionMatrix(
+        row_basis=rows,
+        col_basis=((2, 4), (2, 5)),
+        entries=((F(0), F(1)), (F(1), F(0)), (F(1), F(1))),
+    )
+    with pytest.raises(InconsistentSystem) as exc:
+        solve_connection(P, _zero_connection(rows))
+    assert exc.value.row_label == (2, 5)
+
+
+def test_mat_mul_rejects_mismatched_inner_dimensions():
+    with pytest.raises(ValueError, match="inner dimensions"):
+        mat_mul([[Fraction(1), Fraction(2), Fraction(3)]], [[Fraction(1)]] * 2)
 
 
 def test_solve_connection_empty_target():
