@@ -87,32 +87,23 @@ class Realization:
         for i, r in enumerate(self.rows, start=1):
             if not any(r):
                 raise RealizationError(f"row {i} is zero")
-        if self.is_path:
-            # reject rows that are projectively equal as polynomial rows
-            # (collisions at isolated parameter values are fine)
-            for i, j in itertools.combinations(range(self.n), 2):
-                if self._proportional(self.rows[i], self.rows[j]):
-                    raise RealizationError(
-                        f"rows {i + 1} and {j + 1} are projectively equal along the whole path"
-                    )
-            for i, r in enumerate(self.rows, start=1):
-                if not any(r[1:]):
-                    raise RealizationError(
-                        f"row {i} has identically zero linear part (coincides with the "
-                        "hyperplane at infinity)"
-                    )
+        if allow_coincident and not self.is_path:
             return
-        if allow_coincident:
-            return
+        # path rows are compared as polynomial rows (collisions at isolated
+        # parameter values are fine)
+        along = " along the whole path" if self.is_path else ""
         for i, j in itertools.combinations(range(self.n), 2):
             if self._proportional(self.rows[i], self.rows[j]):
-                raise RealizationError(f"rows {i + 1} and {j + 1} are projectively equal")
+                raise RealizationError(f"rows {i + 1} and {j + 1} are projectively equal{along}")
+        if self.is_path:
+            zero_linear = (
+                "identically zero linear part (coincides with the hyperplane at infinity)"
+            )
+        else:
+            zero_linear = "zero linear part (projectively equal to the hyperplane at infinity)"
         for i, r in enumerate(self.rows, start=1):
             if not any(r[1:]):
-                raise RealizationError(
-                    f"row {i} has zero linear part (projectively equal to the hyperplane "
-                    "at infinity)"
-                )
+                raise RealizationError(f"row {i} has {zero_linear}")
 
     @staticmethod
     def _proportional(r1, r2) -> bool:

@@ -1,9 +1,19 @@
 """Fraction-free exact linear algebra.
 
-Works over two coefficient domains — plain ``Fraction`` and ``MultiPoly`` —
-using Bareiss elimination: every intermediate entry is a minor of the input
-matrix, and each step divides exactly by the previous pivot, so entries stay
-in the domain (no rational functions until back-substitution).
+Bareiss elimination (Math. Comp. 22, 1968): every intermediate entry is a
+minor of the input matrix, and each step divides exactly by the previous
+pivot, so entries stay in the domain (no fractions or rational functions
+until back-substitution).  Three domains meet the one routine:
+
+* ``Fraction`` systems: ``solve_all`` scales each row by the lcm of its
+  denominators and eliminates over Python ``int``; the scaling changes
+  neither the nonzero pattern the pivots are chosen from nor the solutions.
+* ``MultiPoly`` systems, divided exactly by ``poly_exact_div``.
+* ``int`` exact division by ``divmod``, which raises ``ValueError`` on a
+  nonzero remainder, as ``poly_exact_div`` does on a non-divisor.
+
+An update whose products are both zero is skipped, and a half-zero update
+computes only its nonzero product.
 
 Pivoting is deterministic: columns are processed left to right and the first
 row with a nonzero entry is chosen, so results are reproducible.
@@ -11,12 +21,19 @@ row with a nonzero entry is chosen, so results are reproducible.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Sequence
 
 from .exact import MultiPoly, RatFunc, poly_exact_div
 
 
 def _exact_div(a, b):
+    if isinstance(a, int):
+        q, r = divmod(a, b)
+        if r:
+            raise ValueError(f"{b} does not divide {a}")
+        return q
     if isinstance(a, MultiPoly):
         return poly_exact_div(a, b)
     return a / b
@@ -24,6 +41,8 @@ def _exact_div(a, b):
 
 def _to_field(x):
     """Lift a domain entry into its fraction field."""
+    if isinstance(x, int):
+        return Fraction(x)
     if isinstance(x, MultiPoly):
         return RatFunc(x)
     return x
@@ -59,12 +78,20 @@ def fraction_free_echelon(matrix: Sequence[Sequence], ncols: int | None = None) 
             continue
         if piv != pr:
             m[pr], m[piv] = m[piv], m[pr]
-        p = m[pr][c]
+        prow = m[pr]
+        p = prow[c]
         for i in range(pr + 1, nr):
             row = m[i]
             f = row[c]
             for j in range(c + 1, width):
-                e = p * row[j] - f * m[pr][j]
+                a = row[j]
+                b = prow[j]
+                if f and b:
+                    e = p * a - f * b if a else -(f * b)
+                elif a:
+                    e = p * a
+                else:
+                    continue  # both products are zero: row[j] stays zero
                 if prev is not None:
                     e = _exact_div(e, prev)
                 row[j] = e
@@ -87,6 +114,12 @@ class SolveResult:
         self.bad_row = bad_row    # first inconsistent row index, if any
 
 
+def _integer_row(row: list) -> list[int]:
+    """The row times the lcm of its denominators, as Python ints."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
 def solve_all(A: Sequence[Sequence], B: Sequence[Sequence]) -> SolveResult:
     """Solve A·X = B column by column over the fraction field of the domain.
 
@@ -100,6 +133,8 @@ def solve_all(A: Sequence[Sequence], B: Sequence[Sequence]) -> SolveResult:
     if nr == 0 or k == 0:
         return SolveResult(0, True, [])
     aug = [list(A[i]) + list(B[i]) for i in range(nr)]
+    if all(isinstance(x, (int, Fraction)) for row in aug for x in row):
+        aug = [_integer_row(row) for row in aug]
     ech = fraction_free_echelon(aug, ncols=k)
     # rows below the last pivot have an all-zero A part; any nonzero B part
     # there witnesses inconsistency

@@ -1,0 +1,208 @@
+"""solve_all and fraction_free_echelon against the Gauss-Jordan oracles.
+
+Fraction systems are eliminated over integer rows, so every check here also
+asserts that the solution comes back as Fractions and agrees entry for entry
+with the divide-and-pivot oracle in ``_helpers``.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from _helpers import rref_rank, rref_solve
+
+from gmarr.exact import MultiPoly, RatFunc, evaluate
+from gmarr.linalg import _exact_div, fraction_free_echelon, solve_all
+
+PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173)
+
+
+def _random_entry(rng, density):
+    if rng.random() >= density:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.choice(PRIMES) * rng.choice((1, rng.choice(PRIMES))))
+
+
+def _random_matrix(rng, rows, cols, density=0.7):
+    return [[_random_entry(rng, density) for _ in range(cols)] for _ in range(rows)]
+
+
+def _product(A, X):
+    return [
+        [sum((a * X[s][j] for s, a in enumerate(row)), Fraction(0)) for j in range(len(X[0]))]
+        for row in A
+    ]
+
+
+def _rank_deficient(rng, rows, cols, rank):
+    """rows×cols product of random rows×rank and rank×cols factors."""
+    return _product(
+        _random_matrix(rng, rows, rank, density=1.0),
+        _random_matrix(rng, rank, cols, density=1.0),
+    )
+
+
+def _column(M, j):
+    return [row[j] for row in M]
+
+
+def _check_against_oracle(A, B):
+    """solve_all(A, B) agrees with rref_rank / rref_solve and returns Fractions."""
+    res = solve_all(A, B)
+    k, r = len(A[0]), len(B[0])
+    A_columns = [_column(A, c) for c in range(k)]
+    expected = [rref_solve(A_columns, _column(B, j)) for j in range(r)]
+    assert res.rank == rref_rank(A)
+    assert res.consistent == all(x is not None for x in expected)
+    if not res.consistent:
+        assert res.solution is None
+        assert res.rank <= res.bad_row < len(A)
+        return res
+    assert res.bad_row is None
+    for j in range(r):
+        for c in range(k):
+            entry = res.solution[c][j]
+            assert type(entry) is Fraction
+            assert entry == expected[j][c]
+    return res
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_fraction_systems_match_oracle(seed):
+    rng = random.Random(seed)
+    m = rng.randint(2, 7)
+    k = rng.randint(1, m)
+    A = _random_matrix(rng, m, k, density=rng.choice((0.4, 0.7, 1.0)))
+    X = _random_matrix(rng, k, 3)
+    B = _product(A, X)
+    res = _check_against_oracle(A, B)
+    assert res.consistent
+    if res.rank == k:
+        assert [[res.solution[c][j] for j in range(3)] for c in range(k)] == X
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_deficient_systems_match_oracle(seed):
+    rng = random.Random(100 + seed)
+    m, k = rng.randint(3, 7), rng.randint(3, 6)
+    rank = rng.randint(1, min(m, k) - 1)
+    A = _rank_deficient(rng, m, k, rank)
+    X = _random_matrix(rng, k, 2)
+    B = _product(A, X)
+    res = _check_against_oracle(A, B)
+    assert res.rank == rank
+    assert res.consistent
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_inconsistent_systems_match_oracle(seed):
+    rng = random.Random(200 + seed)
+    m, k = rng.randint(3, 7), rng.randint(2, 5)
+    rank = rng.randint(1, min(m - 1, k))
+    A = _rank_deficient(rng, m, k, rank)
+    B = _random_matrix(rng, m, 2, density=1.0)
+    res = _check_against_oracle(A, B)
+    assert not res.consistent
+
+
+@pytest.mark.parametrize(
+    "A, B, rank, bad_row",
+    [
+        # the only pivot is in row 1, so rows 0 and 1 swap and row 1 of the
+        # echelon form (input row 0) carries the inconsistency
+        ([[0], [1], [0]], [[5], [1], [0]], 1, 1),
+        ([[0, 1], [0, 2], [0, 0]], [[1], [3], [0]], 1, 1),
+        ([[0, 0], [1, 1], [2, 2], [0, 0]], [[0], [1], [2], [7]], 1, 3),
+        (
+            [[Fraction(1, 3)], [Fraction(2, 7)]],
+            [[Fraction(1, 5)], [Fraction(1, 2)]],
+            1,
+            1,
+        ),
+        (
+            [[Fraction(1, 101), Fraction(2, 103)], [Fraction(3, 101), Fraction(6, 103)]],
+            [[Fraction(0)], [Fraction(1, 173)]],
+            1,
+            1,
+        ),
+    ],
+)
+def test_inconsistent_system_names_its_row(A, B, rank, bad_row):
+    A = [[Fraction(x) for x in row] for row in A]
+    B = [[Fraction(x) for x in row] for row in B]
+    res = solve_all(A, B)
+    assert (res.rank, res.consistent, res.solution, res.bad_row) == (rank, False, None, bad_row)
+    _check_against_oracle(A, B)
+
+
+def test_zero_rows_and_columns():
+    z = Fraction(0)
+    A = [
+        [z, Fraction(2, 101), z, Fraction(-1, 103)],
+        [z, z, z, z],
+        [z, Fraction(5, 107), z, Fraction(3, 109)],
+        [z, z, z, z],
+    ]
+    B = [[Fraction(1, 113), z], [z, z], [Fraction(-4, 127), z], [z, z]]
+    res = _check_against_oracle(A, B)
+    assert res.rank == 2 and res.consistent
+    assert all(res.solution[c][j] == 0 for c in (0, 2) for j in range(2))
+    assert all(x == 0 for x in _column(res.solution, 1))
+
+    res = _check_against_oracle([[z, z], [z, z]], [[z], [z]])
+    assert (res.rank, res.consistent) == (0, True)
+    assert res.solution == [[Fraction(0)], [Fraction(0)]]
+
+
+def test_integer_input_solves_to_fractions():
+    A = [[2, 1], [1, 3]]
+    B = [[1], [2]]
+    res = solve_all(A, B)
+    assert res.solution == [[Fraction(1, 5)], [Fraction(3, 5)]]
+    assert all(type(x) is Fraction for row in res.solution for x in row)
+
+
+def test_multipoly_system_matches_oracle_at_a_point():
+    l1, l2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
+    one = MultiPoly.const(2, 1)
+    zero = MultiPoly.zero(2)
+    A = [
+        [l1, l2, zero],
+        [one, l1 + l2, l2],
+        [zero, l1 * l2, l1 - one],
+    ]
+    B = [[l1 * l2], [zero], [one]]
+    res = solve_all(A, B)
+    assert res.rank == 3 and res.consistent
+    assert all(isinstance(x, RatFunc) for row in res.solution for x in row)
+    for i in range(3):
+        lhs = sum((RatFunc(A[i][c]) * res.solution[c][0] for c in range(3)), RatFunc(zero))
+        assert lhs == RatFunc(B[i][0])
+    for point in ([Fraction(2), Fraction(-3, 5)], [Fraction(7, 3), Fraction(1, 4)]):
+        A_at = [[evaluate(x, point) for x in row] for row in A]
+        b_at = [evaluate(row[0], point) for row in B]
+        expected = rref_solve([_column(A_at, c) for c in range(3)], b_at)
+        assert [evaluate(res.solution[c][0], point) for c in range(3)] == expected
+
+
+def test_multipoly_rank_deficiency_is_seen():
+    l1, l2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
+    zero = MultiPoly.zero(2)
+    A = [[l1, l2, zero], [l1 * l1, l1 * l2, zero], [zero, zero, zero]]
+    assert fraction_free_echelon(A).rank == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_echelon_rank_on_sparse_matrices(seed):
+    rng = random.Random(300 + seed)
+    M = _random_matrix(rng, 6, 7, density=0.3)
+    assert fraction_free_echelon(M).rank == rref_rank(M)
+
+
+def test_integer_exact_division():
+    assert _exact_div(-12, 4) == -3
+    assert type(_exact_div(12, -4)) is int
+    with pytest.raises(ValueError):
+        _exact_div(7, 2)
+    with pytest.raises(ValueError):
+        _exact_div(-7, 3)
