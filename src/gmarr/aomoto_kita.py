@@ -60,6 +60,8 @@ def omega_general(
 ) -> ConnectionMatrix:
     """Connection matrix for the degeneration of the single subset J in the
     general-position type on n hyperplanes in dimension ℓ."""
+    if not 1 <= ell <= n:
+        raise ValueError(f"need n >= ell >= 1, got n={n}, ell={ell}")
     J = tuple(J)
     if list(J) != sorted(set(J)):
         raise ValueError(f"J = {J} must be strictly increasing")

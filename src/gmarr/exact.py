@@ -16,6 +16,13 @@ canonical representative (zero terms dropped, fractions reduced, rational
 functions gcd-reduced with monic denominator), so ``==`` is plain
 representational equality.
 
+Operands recognised by their shape take shortcuts that return the same
+canonical object as the general route: a gcd with a single-term argument is
+the monic monomial of least exponents over both arguments' terms, an exact
+division by a single term shifts exponents and scales coefficients, and a
+product with an ``int`` or ``Fraction`` scales the coefficients.  The
+subresultant gcd runs only when both arguments have two or more terms.
+
 Monomials are ordered graded-lexicographically with ``l1 > l2 > ... > ln``;
 rendering follows that order descending, e.g. ``"l1^2 + 3*l1*l2 - 1/2"``.
 Rational functions render as ``"(numer)/(denom)"`` with the denominator
@@ -79,6 +86,14 @@ def _render_terms(ordered: Iterable[tuple[str, Fraction]]) -> str:
     return "".join(parts) if parts else "0"
 
 
+def _from_terms(nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
+    """A MultiPoly over terms that are already canonical (valid exponents,
+    nonzero Fraction coefficients), skipping the constructor's validation."""
+    out = MultiPoly.__new__(MultiPoly)
+    out.nvars, out.terms, out._hash = nvars, terms, None
+    return out
+
+
 class MultiPoly:
     """Sparse polynomial in ``nvars`` variables over the rationals.
 
@@ -111,7 +126,7 @@ class MultiPoly:
     @classmethod
     def const(cls, nvars: int, c) -> "MultiPoly":
         c = _as_fraction(c)
-        return cls(nvars, {(0,) * nvars: c} if c else None)
+        return _from_terms(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def variable(cls, nvars: int, j: int) -> "MultiPoly":
@@ -178,18 +193,12 @@ class MultiPoly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars, out.terms, out._hash = self.nvars, terms, None
-        return out
+        return _from_terms(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars = self.nvars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        out._hash = None
-        return out
+        return _from_terms(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -204,6 +213,10 @@ class MultiPoly:
         return o + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # scalar: scale the coefficients, no product of term lists
+            terms = {e: c * other for e, c in self.terms.items()} if other else {}
+            return _from_terms(self.nvars, terms)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -220,9 +233,7 @@ class MultiPoly:
                     terms[e] = s
                 else:
                     del terms[e]
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars, out.terms, out._hash = self.nvars, terms, None
-        return out
+        return _from_terms(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -297,6 +308,16 @@ def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if b.is_const():
         inv = 1 / b.const_value()
         return a * inv
+    if len(b.terms) == 1:
+        # monomial divisor: shift every exponent, scale every coefficient
+        ((eb, cb),) = b.terms.items()
+        quot = {}
+        for ea, ca in a.terms.items():
+            eq = tuple(x - y for x, y in zip(ea, eb))
+            if min(eq) < 0:
+                raise ValueError(f"({b}) does not divide ({a})")
+            quot[eq] = ca / cb
+        return _from_terms(a.nvars, quot)
     eb, cb = b.leading()
     rem = dict(a.terms)
     quot: dict[tuple[int, ...], Fraction] = {}
@@ -314,7 +335,7 @@ def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
                 rem[e] = s
             else:
                 rem.pop(e, None)
-    return MultiPoly(a.nvars, quot)
+    return _from_terms(a.nvars, quot)
 
 
 def _top_variable(a: MultiPoly, b: MultiPoly) -> int | None:
@@ -389,7 +410,14 @@ def _pseudo_rem(f: list[MultiPoly], g: list[MultiPoly]) -> list[MultiPoly]:
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Monic greatest common divisor (content extraction + subresultant PRS)."""
+    """Monic greatest common divisor.
+
+    Zero arguments are handled first.  When either argument is a single term
+    (a nonzero constant included), every divisor of it is a monomial, so the
+    gcd is the monic monomial whose exponent in each variable is the least
+    over the terms of both arguments.  Otherwise: content extraction +
+    subresultant PRS.
+    """
     a._check(b)
     if a.is_zero() and b.is_zero():
         return a
@@ -397,8 +425,12 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         p = b if a.is_zero() else a
         _, lc = p.leading()
         return p * (1 / lc)
-    if a.is_const() or b.is_const():
-        return MultiPoly.const(a.nvars, 1)
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        # a monomial's divisors are monomials: take the least exponent of
+        # each variable over every term of both arguments (a nonzero
+        # constant is the monomial of exponent zero, so its gcd is 1)
+        e = tuple(map(min, *a.terms, *b.terms))
+        return _from_terms(a.nvars, {e: _ONE})
 
     v = _top_variable(a, b)
     fa, fb = _to_univar(a, v), _to_univar(b, v)

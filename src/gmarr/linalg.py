@@ -8,7 +8,10 @@ until back-substitution).  Three domains meet the one routine:
 * ``Fraction`` systems: ``solve_all`` scales each row by the lcm of its
   denominators and eliminates over Python ``int``; the scaling changes
   neither the nonzero pattern the pivots are chosen from nor the solutions.
-* ``MultiPoly`` systems, divided exactly by ``poly_exact_div``.
+* ``MultiPoly`` systems, divided exactly by ``poly_exact_div``.  On the
+  ladder degenerations every entry and pivot is a single term, so the
+  division takes its monomial route, and the ``RatFunc`` reductions of the
+  back-substitution take the single-term route of ``poly_gcd``.
 * ``int`` exact division by ``divmod``, which raises ``ValueError`` on a
   nonzero remainder, as ``poly_exact_div`` does on a non-divisor.
 

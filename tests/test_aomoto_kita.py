@@ -255,3 +255,6 @@ def test_omega_validation():
         omega_general((0, 2, 3), 4, 2)
     with pytest.raises(ValueError):
         omega_general((1, 2, 3), 4, 2, Weights.generic(5))
+    for n, ell in ((0, 0), (3, 0), (2, 3), (1, -1)):
+        with pytest.raises(ValueError, match=f"need n >= ell >= 1, got n={n}, ell={ell}"):
+            omega_general((1,), n, ell)

@@ -358,6 +358,18 @@ def test_omega_general_bad_J(capsys):
     assert "ell + 1" in err
 
 
+@pytest.mark.parametrize("n, ell", [(0, 0), (3, 0), (2, 3)])
+def test_omega_general_bad_n_ell(capsys, n, ell):
+    args = ("omega-general", "--n", str(n), "--ell", str(ell), "--J", "1")
+    message = f"need n >= ell >= 1, got n={n}, ell={ell}"
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+    code, out, err = run(capsys, args[0], "--format", "json", *args[1:])
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": message}
+
+
 # ---------------------------------------------------------------------------
 # multiplicity / connection
 # ---------------------------------------------------------------------------

@@ -294,3 +294,89 @@ def test_ord_t_additive(p, q):
 @settings(max_examples=60, deadline=None)
 def test_path_poly_text_round_trip(p):
     assert parse_path_poly(str(p)) == p
+
+
+# ---------------------------------------------------------------------------
+# single-term and scalar cases
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def monomials(draw, nvars=3, max_pow=2):
+    e = tuple(draw(st.integers(min_value=0, max_value=max_pow)) for _ in range(nvars))
+    return MultiPoly(nvars, {e: draw(_coeffs.filter(bool))})
+
+
+def _divides(d, p):
+    """Whether d divides p, with the quotient checked by the general product."""
+    try:
+        q = poly_exact_div(p, d)
+    except ValueError:
+        return False
+    assert q * d == p
+    return True
+
+
+@given(monomials(), polys())
+@settings(max_examples=80, deadline=None)
+def test_gcd_single_term_is_greatest_monic_common_divisor(m, f):
+    g = poly_gcd(m, f)
+    assert g == poly_gcd(f, m)
+    assert g.leading()[1] == 1
+    assert _divides(g, m) and _divides(g, f)
+    # divisors of a monomial are monomials, so no l_i * g dividing both
+    # means no common divisor strictly above g
+    for i in range(1, m.nvars + 1):
+        h = L(m.nvars, i) * g
+        assert not (_divides(h, m) and _divides(h, f))
+
+
+def test_gcd_single_term_examples():
+    l1, l2, l3 = L(3, 1), L(3, 2), L(3, 3)
+    assert poly_gcd(6 * l1 * l1 * l2, 4 * l1 * l2 * l2 + 2 * l1 * l3) == l1
+    assert poly_gcd(l2 * l3, l1 * l1 + l1) == 1
+    assert poly_gcd(-3 * l1 * l2, 5 * l1 * l2) == l1 * l2
+
+
+@given(monomials(), polys())
+@settings(max_examples=80, deadline=None)
+def test_exact_div_single_term_round_trip(m, q):
+    assert poly_exact_div(m * q, m) == q
+
+
+@given(monomials(), polys(), _coeffs.filter(bool))
+@settings(max_examples=40, deadline=None)
+def test_exact_div_single_term_non_multiple_raises(m, q, c):
+    if m.is_const():
+        return
+    # m * q has no constant term, so m cannot divide m * q + c
+    with pytest.raises(ValueError, match="does not divide"):
+        poly_exact_div(m * q + c, m)
+
+
+def test_exact_div_single_term_message():
+    l1, l2 = L(2, 1), L(2, 2)
+    with pytest.raises(ValueError) as info:
+        poly_exact_div(l1 * l2 + l2, 2 * l1)
+    assert str(info.value) == "(2*l1) does not divide (l1*l2 + l2)"
+
+
+@given(polys(), st.one_of(st.integers(min_value=-5, max_value=5), _coeffs))
+@settings(max_examples=80, deadline=None)
+def test_scalar_product_matches_constant_polynomial(p, c):
+    expected = p * MultiPoly.const(p.nvars, c)
+    for got in (p * c, c * p):
+        assert got == expected
+        assert all(got.terms.values())
+    zero = p * 0
+    assert zero.is_zero() and zero.terms == {}
+
+
+def test_constructor_validates_outside_terms():
+    with pytest.raises(ValueError):
+        MultiPoly(2, {(1, -1): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(2, {(1,): 1})
+    assert MultiPoly(2, {(0, 0): 0}).terms == {}
+    assert MultiPoly.const(2, 0).terms == {}
+    assert MultiPoly.const(2, 3) == MultiPoly(2, {(0, 0): 3})
