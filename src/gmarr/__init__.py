@@ -4,8 +4,9 @@ The package computes, in exact arithmetic, the connection matrices that
 describe how the top local-system cohomology of a hyperplane arrangement
 complement varies along a one-parameter degeneration of the arrangement:
 
-* ``exact`` — rationals, sparse multivariate polynomials, reduced rational
-  functions, and univariate polynomials in the deformation parameter.
+* ``exact`` — rationals, sparse multivariate polynomials and reduced
+  rational functions in the weights; polynomials in the deformation
+  parameter ``t`` are the one-variable sparse polynomials in ``t``.
 * ``arrangement`` — realization matrices, minors, combinatorial types,
   matroid data (circuits, frames, nbc/betanbc sets), flats, dense edges,
   Betti numbers and the nonresonance check.

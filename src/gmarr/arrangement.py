@@ -69,15 +69,13 @@ class Realization:
         self.n = len(rows)
         self.ell = width - 1
         is_path = any(isinstance(e, PathPoly) for r in rows for e in r)
-        coerced = []
-        for r in rows:
-            if is_path:
-                coerced.append(
-                    tuple(e if isinstance(e, PathPoly) else PathPoly.const(_as_fraction(e)) for e in r)
-                )
-            else:
-                coerced.append(tuple(_as_fraction(e) for e in r))
-        self.rows = tuple(coerced)
+
+        def lift(e):
+            if not is_path:
+                return _as_fraction(e)
+            return e if isinstance(e, PathPoly) else PathPoly.const(e)
+
+        self.rows = tuple(tuple(lift(e) for e in r) for r in rows)
         self.is_path = is_path
         self._validate(allow_coincident)
 
@@ -115,18 +113,13 @@ class Realization:
 
     # -- access --------------------------------------------------------------
 
-    def _zero(self):
-        return PathPoly() if self.is_path else Fraction(0)
-
-    def _one(self):
-        return PathPoly.const(1) if self.is_path else Fraction(1)
-
     def row(self, i: int):
         """Row of the projective closure, 1-based; i = n+1 is infinity."""
         if 1 <= i <= self.n:
             return self.rows[i - 1]
         if i == self.n + 1:
-            return (self._one(),) + (self._zero(),) * self.ell
+            unit = PathPoly.const if self.is_path else Fraction
+            return (unit(1),) + (unit(0),) * self.ell
         raise ValueError(f"row index {i} out of range 1..{self.n + 1}")
 
     @property

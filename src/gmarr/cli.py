@@ -10,7 +10,8 @@ with one row of ``ell + 1`` exact rational strings per hyperplane (the
 hyperplane at infinity is implicit and never appears in the file), and
 ``weights`` either the string ``"generic"`` or a list of ``n`` rational
 strings.  A path file has the same shape except that row entries may be
-polynomials in the deformation parameter ``t`` (e.g. ``"1 - t"``), it must
+polynomials in the deformation parameter ``t`` (e.g. ``"1 - t"``; powers of
+``t`` above ``exact.MAX_T_DEGREE`` = 1000 are rejected as bad input), it must
 declare a nonzero rational ``"t_witness"`` where the family is in its
 nondegenerate position, and it may optionally declare the expected dependent
 sets at the witness (``"declared_dep"``) and at ``t = 0``

@@ -1,6 +1,6 @@
 """Exact scalar arithmetic for the whole package.
 
-Three value families cover every scalar that appears downstream:
+Two value families cover every scalar that appears downstream:
 
 * ``Rational`` (= :class:`fractions.Fraction`): plain exact rationals.
 * :class:`MultiPoly` and :class:`RatFunc`: sparse polynomials and reduced
@@ -8,13 +8,19 @@ Three value families cover every scalar that appears downstream:
   weight of the hyperplane at infinity is never a stored variable; callers
   substitute ``-(l1 + ... + ln)`` eagerly, so the variables stay
   algebraically independent and gcd-based canonical forms are sound.
-* :class:`PathPoly`: univariate polynomials in the deformation parameter
-  ``t`` with rational coefficients, used for one-parameter families.
 
-All three are immutable value objects.  Every constructor produces the
-canonical representative (zero terms dropped, fractions reduced, rational
-functions gcd-reduced with monic denominator), so ``==`` is plain
-representational equality.
+:class:`PathPoly`, the polynomials in the deformation parameter ``t`` of
+one-parameter families, is the one-variable :class:`MultiPoly` in ``t``: it
+shares the ring operations, and sums, products and quotients of path
+polynomials stay path polynomials.  Classes must match exactly, so a path
+polynomial never combines with (``TypeError``) or equals a polynomial in the
+weights.  Parsed path polynomials carry powers of ``t`` up to
+``MAX_T_DEGREE``.
+
+All values are immutable.  Every constructor produces the canonical
+representative (zero terms dropped, fractions reduced, rational functions
+gcd-reduced with monic denominator), so ``==`` is plain representational
+equality.
 
 Operands recognised by their shape take shortcuts that return the same
 canonical object as the general route: a gcd with a single-term argument is
@@ -86,10 +92,11 @@ def _render_terms(ordered: Iterable[tuple[str, Fraction]]) -> str:
     return "".join(parts) if parts else "0"
 
 
-def _from_terms(nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
-    """A MultiPoly over terms that are already canonical (valid exponents,
-    nonzero Fraction coefficients), skipping the constructor's validation."""
-    out = MultiPoly.__new__(MultiPoly)
+def _from_terms(cls: type, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
+    """A ``cls`` (MultiPoly or PathPoly) over terms that are already canonical
+    (valid exponents, nonzero Fraction coefficients), skipping the
+    constructor's validation."""
+    out = cls.__new__(cls)
     out.nvars, out.terms, out._hash = nvars, terms, None
     return out
 
@@ -121,12 +128,12 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars)
+        return _from_terms(cls, nvars, {})
 
     @classmethod
     def const(cls, nvars: int, c) -> "MultiPoly":
         c = _as_fraction(c)
-        return _from_terms(nvars, {(0,) * nvars: c} if c else {})
+        return _from_terms(cls, nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def variable(cls, nvars: int, j: int) -> "MultiPoly":
@@ -134,7 +141,7 @@ class MultiPoly:
         if not 1 <= j <= nvars:
             raise ValueError(f"variable index {j} out of range 1..{nvars}")
         e = tuple(1 if i == j - 1 else 0 for i in range(nvars))
-        return cls(nvars, {e: _ONE})
+        return _from_terms(cls, nvars, {e: _ONE})
 
     # -- predicates ------------------------------------------------------
 
@@ -171,6 +178,8 @@ class MultiPoly:
     # -- ring operations -------------------------------------------------
 
     def _check(self, other: "MultiPoly") -> None:
+        if type(other) is not type(self):  # a path polynomial never meets a weight one
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if self.nvars != other.nvars:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
 
@@ -179,7 +188,8 @@ class MultiPoly:
             self._check(other)
             return other
         if isinstance(other, (int, Fraction)):
-            return MultiPoly.const(self.nvars, other)
+            c = _as_fraction(other)
+            return _from_terms(type(self), self.nvars, {(0,) * self.nvars: c} if c else {})
         return None
 
     def __add__(self, other):
@@ -193,12 +203,12 @@ class MultiPoly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return _from_terms(self.nvars, terms)
+        return _from_terms(type(self), self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _from_terms(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _from_terms(type(self), self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -216,12 +226,12 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             # scalar: scale the coefficients, no product of term lists
             terms = {e: c * other for e, c in self.terms.items()} if other else {}
-            return _from_terms(self.nvars, terms)
+            return _from_terms(type(self), self.nvars, terms)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if not self.terms or not o.terms:
-            return MultiPoly.zero(self.nvars)
+            return _from_terms(type(self), self.nvars, {})
         # multiply the smaller term list into the larger one
         a, b = (self.terms, o.terms) if len(self.terms) <= len(o.terms) else (o.terms, self.terms)
         terms: dict[tuple[int, ...], Fraction] = {}
@@ -233,14 +243,14 @@ class MultiPoly:
                     terms[e] = s
                 else:
                     del terms[e]
-        return _from_terms(self.nvars, terms)
+        return _from_terms(type(self), self.nvars, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = MultiPoly.const(self.nvars, 1)
+        out = self._coerce(1)
         for _ in range(k):
             out = out * self
         return out
@@ -249,7 +259,11 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             return self.is_const() and self.const_value() == other
         if isinstance(other, MultiPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return (
+                type(other) is type(self)
+                and self.nvars == other.nvars
+                and self.terms == other.terms
+            )
         if isinstance(other, RatFunc):
             return other == self
         return NotImplemented
@@ -290,7 +304,7 @@ class MultiPoly:
     __str__ = render
 
     def __repr__(self):
-        return f"MultiPoly({self.render()!r})"
+        return f"{type(self).__name__}({self.render()!r})"
 
 
 # --------------------------------------------------------------------------
@@ -317,7 +331,7 @@ def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
             if min(eq) < 0:
                 raise ValueError(f"({b}) does not divide ({a})")
             quot[eq] = ca / cb
-        return _from_terms(a.nvars, quot)
+        return _from_terms(type(a), a.nvars, quot)
     eb, cb = b.leading()
     rem = dict(a.terms)
     quot: dict[tuple[int, ...], Fraction] = {}
@@ -335,7 +349,7 @@ def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
                 rem[e] = s
             else:
                 rem.pop(e, None)
-    return _from_terms(a.nvars, quot)
+    return _from_terms(type(a), a.nvars, quot)
 
 
 def _top_variable(a: MultiPoly, b: MultiPoly) -> int | None:
@@ -353,7 +367,7 @@ def _to_univar(p: MultiPoly, v: int) -> list[MultiPoly]:
     for e, c in p.terms.items():
         stripped = tuple(0 if i == v else k for i, k in enumerate(e))
         buckets[e[v]][stripped] = c
-    return [MultiPoly(p.nvars, b) for b in buckets]
+    return [_from_terms(type(p), p.nvars, b) for b in buckets]
 
 
 def _from_univar(coeffs: Sequence[MultiPoly], v: int, nvars: int) -> MultiPoly:
@@ -362,7 +376,7 @@ def _from_univar(coeffs: Sequence[MultiPoly], v: int, nvars: int) -> MultiPoly:
         for e, q in c.terms.items():
             e2 = tuple(ei + k if i == v else ei for i, ei in enumerate(e))
             terms[e2] = q
-    return MultiPoly(nvars, terms)
+    return _from_terms(type(coeffs[0]), nvars, terms)
 
 
 def _trim(f: list[MultiPoly]) -> list[MultiPoly]:
@@ -372,7 +386,7 @@ def _trim(f: list[MultiPoly]) -> list[MultiPoly]:
 
 
 def _content(coeffs: Sequence[MultiPoly]) -> MultiPoly:
-    g = MultiPoly.zero(coeffs[0].nvars)
+    g = type(coeffs[0]).zero(coeffs[0].nvars)
     for c in coeffs:
         g = poly_gcd(g, c)
         if g.is_one():
@@ -430,7 +444,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         # each variable over every term of both arguments (a nonzero
         # constant is the monomial of exponent zero, so its gcd is 1)
         e = tuple(map(min, *a.terms, *b.terms))
-        return _from_terms(a.nvars, {e: _ONE})
+        return _from_terms(type(a), a.nvars, {e: _ONE})
 
     v = _top_variable(a, b)
     fa, fb = _to_univar(a, v), _to_univar(b, v)
@@ -442,7 +456,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         fa, fb = fb, fa
 
     # subresultant polynomial remainder sequence on the primitive parts
-    one = MultiPoly.const(a.nvars, 1)
+    one = a._coerce(1)
     g, h = one, one
     F, G = fa, fb
     prim: list[MultiPoly] | None
@@ -637,122 +651,41 @@ def evaluate(f: Scalarish, values: Sequence[Fraction]) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-class PathPoly:
-    """Polynomial in t over the rationals; coefficient i belongs to t^i."""
+class PathPoly(MultiPoly):
+    """Polynomial in t over the rationals: the one-variable MultiPoly whose
+    exponent ``(k,)`` is the power t^k.  ``PathPoly(coeffs)`` takes dense
+    coefficients, coefficient i belonging to t^i."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        super().__init__(1, {(i,): c for i, c in enumerate(coeffs)})
 
     @classmethod
     def const(cls, c) -> "PathPoly":
-        return cls((c,))
+        return super().const(1, c)
 
-    @classmethod
-    def t(cls) -> "PathPoly":
-        return cls((0, 1))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # zero polynomial: -1
-
-    def _coerce(self, other) -> "PathPoly | None":
-        if isinstance(other, PathPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PathPoly((other,))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return PathPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else _ZERO)
-                + (o.coeffs[i] if i < len(o.coeffs) else _ZERO)
-                for i in range(n)
-            ]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PathPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return PathPoly()
-        out = [_ZERO] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return PathPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == PathPoly((other,)).coeffs
-        if isinstance(other, PathPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Dense coefficients up to the degree; empty for the zero polynomial."""
+        size = max((k for (k,) in self.terms), default=-1) + 1
+        return tuple(self.terms.get((i,), _ZERO) for i in range(size))
 
     def evaluate(self, t) -> Fraction:
-        t = _as_fraction(t)
-        total = _ZERO
-        for c in reversed(self.coeffs):
-            total = total * t + c
-        return total
+        return super().evaluate((t,))
 
     def ord_t(self) -> int | None:
-        """Index of the lowest nonzero coefficient; None for the zero polynomial."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
+        """Lowest power of t with a nonzero coefficient; None for zero."""
+        return min((k for (k,) in self.terms), default=None)
 
     def render(self) -> str:
         def mono(i: int) -> str:
             if i == 0:
                 return ""
             return "t" if i == 1 else f"t^{i}"
-        return _render_terms((mono(i), c) for i, c in enumerate(self.coeffs) if c)
+        return _render_terms((mono(k), self.terms[(k,)]) for (k,) in sorted(self.terms))
 
     __str__ = render
-
-    def __repr__(self):
-        return f"PathPoly({self.render()!r})"
 
 
 def ord_t(p: PathPoly) -> int | None:
@@ -777,13 +710,22 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in rational {text!r}") from None
 
 
+# Largest power of t a path polynomial may carry.  Path entries are evaluated
+# at the witness and multiplied into minors, so an unbounded exponent such as
+# t^99999999 would build integers of that many bits; t^1000 stays cheap.
+MAX_T_DEGREE = 1000
+
 _PATH_TERM_RE = re.compile(
     r"^(?:(?P<coeff>\d+(?:/\d+)?)(?:\*(?=t))?)?(?:(?P<t>t)(?:\^(?P<pow>\d+))?)?$"
 )
 
 
 def parse_path_poly(text: str) -> PathPoly:
-    """Parse expressions like ``"1 - 2*t + t^2"``, ``"-t"``, ``"3/4"``."""
+    """Parse expressions like ``"1 - 2*t + t^2"``, ``"-t"``, ``"3/4"``.
+
+    Raises ValueError on malformed text and on a power of t above
+    ``MAX_T_DEGREE``.
+    """
     s = text.strip()
     if not s:
         raise ValueError("empty path polynomial")
@@ -795,7 +737,7 @@ def parse_path_poly(text: str) -> PathPoly:
         chunks = ["+"] + chunks
     if len(chunks) % 2 != 0:
         raise ValueError(f"malformed path polynomial {text!r}")
-    coeffs: dict[int, Fraction] = {}
+    terms: dict[tuple[int], Fraction] = {}
     for sign, term in zip(chunks[::2], chunks[1::2]):
         m = _PATH_TERM_RE.match(term.replace(" ", ""))
         if not m or (m.group("coeff") is None and m.group("t") is None):
@@ -812,6 +754,10 @@ def parse_path_poly(text: str) -> PathPoly:
             k = int(m.group("pow")) if m.group("pow") else 1
         else:
             k = 0
-        coeffs[k] = coeffs.get(k, _ZERO) + c
-    size = max(coeffs) + 1 if coeffs else 0
-    return PathPoly([coeffs.get(i, _ZERO) for i in range(size)])
+        if k > MAX_T_DEGREE:
+            raise ValueError(
+                f"power t^{k} in path polynomial {text!r} exceeds the limit "
+                f"t^{MAX_T_DEGREE}"
+            )
+        terms[(k,)] = terms.get((k,), _ZERO) + c
+    return _from_terms(PathPoly, 1, {e: c for e, c in terms.items() if c})

@@ -15,12 +15,11 @@ then checked exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .aomoto_kita import ConnectionMatrix, omega_general
+from .aomoto_kita import ConnectionMatrix, _general_basis, omega_general
 from .arrangement import (
     CombinatorialType,
     Realization,
@@ -196,7 +195,7 @@ def combined_omega(
     if w is None:
         w = Weights.generic(n)
     zero = w.zero_scalar()
-    basis = tuple(itertools.combinations(range(2, n + 1), ell))
+    basis = _general_basis(n, ell)
     acc = [[zero for _ in basis] for _ in basis]
     order = sorted(table)
     for J in order:
@@ -322,7 +321,7 @@ def codim1_projection_closed_form(
         report = stv_check(T, w)
         if not report.ok:
             raise ResonantWeights(report)
-    sources = tuple(itertools.combinations(range(2, n + 1), ell))
+    sources = _general_basis(n, ell)
     cols = betanbc_frames(T)
     zero = w.zero_scalar()
     one = w.one_scalar()

@@ -17,18 +17,18 @@ Fraction for concrete ones.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .aomoto_kita import _general_basis
 from .arrangement import (
     CombinatorialType,
     Weights,
+    _affine_independent,
     _matroid_of,
     affine_circuits,
     betanbc_frames,
-    general_position_type,
     nbc_sets,
     stv_check,
 )
@@ -123,8 +123,6 @@ class _Straightener:
 
     def __init__(self, T: CombinatorialType):
         self.T = T
-        self.matroid = _matroid_of(T)
-        self.inf = T.n + 1
         complete: dict[tuple[int, ...], int] = {}
         for C in affine_circuits(T):
             bc = C[1:]
@@ -136,14 +134,11 @@ class _Straightener:
         self.complete = complete
         self.memo: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
 
-    def _affinely_independent(self, S: tuple[int, ...]) -> bool:
-        return self.matroid.rank(frozenset(S) | {self.inf}) == len(S) + 1
-
     def rewrite(self, S: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
         hit = self.memo.get(S)
         if hit is not None:
             return hit
-        if not self._affinely_independent(S):
+        if not _affine_independent(self.T, S):
             result: dict[tuple[int, ...], Fraction] = {}
             self.memo[S] = result
             return result
@@ -288,11 +283,11 @@ def _eta_image(I: tuple[int, ...], T: CombinatorialType, w: Weights) -> OSElemen
 def projection_matrix(T: CombinatorialType, w: Weights) -> ProjectionMatrix:
     """Matrix of the restriction map from general-position top cohomology.
 
-    Row for each betanbc frame I of the general-position type (over the same
-    n, ℓ): the product λ_{i₁}⋯λ_{i_ℓ}·a_I is straightened in the target type
-    and decomposed as Σ_B c_B · (λ_{b₁}⋯λ_{b_ℓ} a_B) + a_λ∧u by one exact
-    linear solve, B running over the betanbc frames of the target; the row
-    stores (c_B)_B.  This is the display convention of the worked examples:
+    Row for each betanbc frame I of the general-position type over the same
+    n, ℓ (the ℓ-subsets of [2..n]): the product λ_{i₁}⋯λ_{i_ℓ}·a_I is
+    straightened in the target type and decomposed as
+    Σ_B c_B · (λ_{b₁}⋯λ_{b_ℓ} a_B) + a_λ∧u by one exact linear solve, B
+    running over the betanbc frames of the target; the row stores (c_B)_B.  This is the display convention of the worked examples:
     rows labelled by target betanbc frames come out as unit vectors.
     """
     if w.n != T.n:
@@ -315,8 +310,7 @@ def projection_matrix(T: CombinatorialType, w: Weights) -> ProjectionMatrix:
         for r, S in enumerate(top):
             system[r].append(vb.coeffs.get(S, zero))
 
-    G = general_position_type(T.n, ell)
-    sources = betanbc_frames(G)
+    sources = _general_basis(T.n, ell)
     rhs = [[zero for _ in sources] for _ in top]
     for cidx, I in enumerate(sources):
         for S, c in _eta_image(I, T, w).coeffs.items():

@@ -8,6 +8,7 @@ subprocess test exercises the ``python3 -m`` entry point.
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -443,6 +444,23 @@ def test_connection_rejects_zero_witness(tmp_path, capsys):
     code, out, err = run(capsys, "connection", str(f))
     assert code == 1 and out == ""
     assert "nonzero" in err
+
+
+def test_path_entry_degree_limit(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "triple_point_path_1.json").read_text())
+    for power in (1001, 99999999):
+        doc["rows"][3][1] = f"1 - t^{power}"
+        f = tmp_path / f"deg{power}.json"
+        f.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "connection", str(f))
+        assert code == 1 and out == ""
+        assert err.startswith("error: row 4, entry 2: ") and f"t^{power}" in err
+        assert "exceeds the limit t^1000" in err
+        code, out, err = run(capsys, "multiplicity", "--format", "json", str(f))
+        assert code == 1 and err == ""
+        assert json.loads(out)["error"].startswith("row 4, entry 2: ")
+        assert time.perf_counter() - start < 2.0
 
 
 def test_multiplicity_rejects_wrong_declaration(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmarr.exact import (
+    MAX_T_DEGREE,
     DenominatorVanishes,
     MultiPoly,
     PathPoly,
@@ -189,6 +191,51 @@ def test_path_poly_evaluate():
     assert p.evaluate(1) == 0
 
 
+def test_path_poly_degree_limit():
+    top = parse_path_poly(f"1 - t^{MAX_T_DEGREE}")
+    assert top.coeffs[-1] == -1 and len(top.coeffs) == MAX_T_DEGREE + 1
+    assert top.evaluate(2) == 1 - 2**MAX_T_DEGREE
+    with pytest.raises(ValueError, match=f"exceeds the limit t\\^{MAX_T_DEGREE}"):
+        parse_path_poly(f"t^{MAX_T_DEGREE + 1}")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="t\\^99999999"):
+        parse_path_poly("1 - t^99999999")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_path_poly_operations_stay_path_polys():
+    p, q = parse_path_poly("1 - t"), parse_path_poly("2*t + t^3")
+    for r in (p + q, p - q, -p, p * q, 3 * p, p + 1, 1 - p, p**2, poly_exact_div(p * q, q)):
+        assert type(r) is PathPoly
+    assert poly_exact_div(p * q, q) == p
+    g = poly_gcd(p * q, p * (q + 1))
+    assert type(g) is PathPoly and g == parse_path_poly("-1 + t")
+    assert str(p * q) == "2*t - 2*t^2 + t^3 - t^4"
+    assert repr(p) == "PathPoly('1 - t')"
+    assert (p * q).coeffs == (0, 2, -2, 1, -1)
+
+
+def test_path_and_weight_polys_do_not_mix():
+    t = parse_path_poly("t")
+    l1 = MultiPoly.variable(1, 1)
+    for op in (
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a * b,
+    ):
+        for a, b in ((t, l1), (l1, t)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    with pytest.raises(TypeError):
+        RatFunc(t)
+    with pytest.raises(TypeError):
+        RatFunc(l1) + t
+    assert t != l1 and l1 != t
+    assert RatFunc(l1) != t
+    assert PathPoly.const(2) != MultiPoly.const(1, 2)
+    assert PathPoly.const(2) == 2 and hash(PathPoly.const(2)) == hash(2)
+
+
 def test_parse_rational():
     assert parse_rational("-1/2") == Fraction(-1, 2)
     assert parse_rational(" 7 ") == 7
@@ -288,6 +335,13 @@ def test_ord_t_additive(p, q):
         assert ord_t(p * q) is None
     else:
         assert ord_t(p * q) == ord_t(p) + ord_t(q)
+
+
+@given(path_polys(), path_polys(), _coeffs)
+@settings(max_examples=60, deadline=None)
+def test_path_poly_evaluate_is_ring_homomorphism(p, q, t):
+    assert (p * q).evaluate(t) == p.evaluate(t) * q.evaluate(t)
+    assert (p - q).evaluate(t) == p.evaluate(t) - q.evaluate(t)
 
 
 @given(path_polys())

@@ -52,6 +52,20 @@ SELBERG = rational_rows(
     [[0, 1, 0], [-1, 1, 0], [0, 0, 1], [-1, 0, 1], [0, 1, -1]]
 )
 
+# l = 3 arrangements with three planes through a line (planes 1, 2, 3).  A
+# monomial can then hold a broken circuit and more, so straightening rewrites
+# a_S = ± a_R ∧ a_bc with a nonempty remainder R and its shuffle signs matter;
+# at l = 2 a broken circuit fills the whole top-degree monomial.
+PENCILS_L3 = [
+    rational_rows([[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 0], [-1, 0, 0, 1], [-1, 1, 2, 3]]),
+    rational_rows(
+        [[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1], [-1, 1, 1, 1], [-2, 1, -1, 2]]
+    ),
+    rational_rows(
+        [[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1], [0, 1, 0, 1], [-1, 1, 2, 3]]
+    ),
+]
+
 T_TRIPLE = compute_type(TRIPLE_POINT)
 T_SELBERG = compute_type(SELBERG)
 G42 = general_position_type(4, 2)
@@ -161,6 +175,15 @@ def test_straighten_matches_oracle_on_random_realizations():
             assert {
                 k: v for k, v in straighten(S, T).coeffs.items() if v
             } == straighten_oracle(r, S), (r.rows, S)
+
+
+def test_straighten_matches_oracle_with_a_remainder():
+    for r in PENCILS_L3:
+        T = compute_type(r)
+        for q in range(1, T.ell + 1):
+            for S in itertools.combinations(range(1, T.n + 1), q):
+                got = {k: v for k, v in straighten(S, T).coeffs.items() if v}
+                assert got == straighten_oracle(r, S), (r.rows, S)
 
 
 def test_straighten_is_linear_over_circuit_boundaries():
@@ -457,6 +480,18 @@ def test_projection_matches_oracle_on_random_realizations():
         for I, row in zip(P.row_basis, P.entries):
             assert [Fraction(x) for x in row] == rows[I], (r.rows, I)
         done += 1
+
+
+def test_projection_matches_oracle_with_a_remainder():
+    rng = random.Random(41)
+    for r in PENCILS_L3:
+        T = compute_type(r)
+        vals = random_nonresonant_weights(rng, T)
+        P = projection_matrix(T, Weights.concrete(vals))
+        frames, rows = projection_oracle(r, vals)
+        assert P.col_basis == frames
+        for I, row in zip(P.row_basis, P.entries):
+            assert [Fraction(x) for x in row] == rows[I], (r.rows, I)
 
 
 def test_projection_symbolic_evaluates_to_numeric():
