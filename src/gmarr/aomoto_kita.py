@@ -11,6 +11,7 @@ infinity is always eliminated).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -51,7 +52,15 @@ class ConnectionMatrix:
         return self.entries[self.basis.index(I)][self.basis.index(Iprime)]
 
 
+# Largest general-position basis, C(n-1, ell) frames, that is built.  Blocks
+# are square in it: 496 frames (n = 33, ell = 2) take 1 s in omega-general.
+MAX_GENERAL_BASIS = 500
+
+
 def _general_basis(n: int, ell: int) -> tuple[tuple[int, ...], ...]:
+    if (size := math.comb(n - 1, ell)) > MAX_GENERAL_BASIS:
+        raise ValueError(f"the general-position basis for n={n}, ell={ell} has "
+                         f"C({n - 1}, {ell}) = {size} frames: over the limit {MAX_GENERAL_BASIS}")
     return tuple(itertools.combinations(range(2, n + 1), ell))
 
 

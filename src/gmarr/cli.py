@@ -17,7 +17,8 @@ nondegenerate position (bounded against the powers of ``t`` by
 ``gauss_manin.MAX_WITNESS_BITS``), and it may optionally declare the
 expected dependent sets at the witness (``"declared_dep"``) and at ``t = 0``
 (``"declared_dep_prime"``) as lists of index lists; declared sets are checked
-against what the rows actually realize, never trusted.
+against what the rows actually realize, never trusted.  A general-position
+basis over ``aomoto_kita.MAX_GENERAL_BASIS`` = 500 frames is bad input.
 
 All output is byte-deterministic: the same invocation prints the same bytes.
 ``connection --jobs N`` is still accepted but has no effect.  Exit status is

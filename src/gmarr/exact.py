@@ -608,8 +608,6 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den.is_one() and o.den.is_one():
-            return RatFunc(self.num * o.num)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -659,9 +657,12 @@ class RatFunc:
         return f"RatFunc({self.render()!r})"
 
 
-def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
-    """Canonical rational function num/den (reduced, monic denominator)."""
-    return RatFunc(num, den)
+def quotient(num, den):
+    """The field element num/den of a domain quotient: the canonical
+    ``RatFunc`` over polynomials, a ``Fraction`` over rationals."""
+    if isinstance(num, MultiPoly):
+        return RatFunc(num, den)
+    return Fraction(num) / den
 
 
 def evaluate(f: Scalarish, values: Sequence[Fraction]) -> Fraction:

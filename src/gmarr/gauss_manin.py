@@ -8,15 +8,14 @@ matrix on the degenerate-locus side is the Ω with
 
     P(T) · Ω = (Σ_J m_J · Ω_general(J)) · P(T)
 
-over the weight field.  Every frame of T labels a unit row of P(T), so Ω is
-read off the right-hand side at those rows; every row of the equation is
-then checked exactly.
+over the weight field.  P(T) = N/d over one common denominator, and every
+frame of T labels a row d·e of N, so Ω = W/d for W the frame rows of B·N;
+every row of the polynomial identity N·W = d·(B·N) is then checked exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .aomoto_kita import ConnectionMatrix, _general_basis, omega_general
@@ -29,7 +28,7 @@ from .arrangement import (
     compute_type,
     stv_check,
 )
-from .exact import RatFunc, _as_fraction
+from .exact import _as_fraction, quotient
 from .linalg import mat_mul
 from .orlik_solomon import ProjectionMatrix, ResonantWeights, projection_matrix
 
@@ -227,40 +226,43 @@ def combined_omega(
 def solve_connection(P: ProjectionMatrix, B: ConnectionMatrix) -> ConnectionMatrix:
     """Read Ω off P·Ω = B·P and verify every row of the system exactly.
 
-    Each frame of the column basis also labels a row of P, and that row is
-    the frame's unit vector, so its row of P·Ω is its row of Ω: Ω's row for
-    the frame is B·P's row for it.  No elimination is run.  A frame that
-    labels no row of P, or whose row is not its unit vector, is reported as
-    an inconsistency; so is any row of P·Ω that differs from B·P.
+    With P = N/d, each frame of the column basis also labels a row of N,
+    and that row is d times the frame's unit vector, so Ω's row for the
+    frame is the row of B·N for it, over d: Ω = W/d.  No elimination is run.
+    A frame that labels no row of P, or whose row of N is not d times its
+    unit vector, is reported as an inconsistency; so is any row of N·W that
+    differs from d·(B·N), the equation times d² over the domain.
     """
     if P.row_basis != B.basis:
         raise ValueError("projection rows and connection basis disagree")
     if not P.col_basis:
         return ConnectionMatrix(basis=(), entries=())
-    rhs = mat_mul(B.entries, P.entries)
+    N, d = P.numerators, P.denominator
+    BN = mat_mul(B.entries, N)
     row_of = {label: i for i, label in enumerate(P.row_basis)}
-    omega = []
+    W = []
     for j, frame in enumerate(P.col_basis):
         i = row_of.get(frame)
         if i is None:
             raise InconsistentSystem(
                 frame, f"frame {frame} of the target type labels no row of P"
             )
-        row = P.entries[i]
-        if row[j] != 1 or any(e for c, e in enumerate(row) if c != j):
+        row = N[i]
+        if row[j] != d or any(e for c, e in enumerate(row) if c != j):
             raise InconsistentSystem(
                 frame, f"the row of P for the frame {frame} is not its unit vector"
             )
-        omega.append(tuple(rhs[i]))
-    lhs = mat_mul(P.entries, omega)
+        W.append(BN[i])
+    NW = mat_mul(N, W)
     for i, label in enumerate(P.row_basis):
-        if lhs[i] != rhs[i]:
+        if NW[i] != [d * x for x in BN[i]]:
             raise InconsistentSystem(
                 label,
                 f"connection equation fails on the row for {label}: "
                 "resonant weights, an invalid path, or inconsistent bases",
             )
-    return ConnectionMatrix(basis=P.col_basis, entries=tuple(omega))
+    omega = tuple(tuple(quotient(x, d) for x in row) for row in W)
+    return ConnectionMatrix(basis=P.col_basis, entries=omega)
 
 
 def connection_for_path(
@@ -318,7 +320,8 @@ def codim1_projection_closed_form(
     The dependent subset must be in standard position ([1..ℓ+1] or
     [n−ℓ+1..n+1]); use normalize_codim1_type to relabel first.  Frame bases
     are order-sensitive, so results for a relabeled type are expressed in
-    the new labels and are not mapped back.
+    the new labels and are not mapped back.  The common denominator is λ_K
+    for K = [1..ℓ+1], and 1 for K = [n−ℓ+1..n+1], where P has no fractions.
     """
     if len(T.dep) != 1:
         raise ValueError(f"type has {len(T.dep)} dependent subsets; need exactly 1")
@@ -335,55 +338,34 @@ def codim1_projection_closed_form(
     sources = _general_basis(n, ell)
     cols = betanbc_frames(T)
     zero = w.zero_scalar()
-    one = w.one_scalar()
 
     if n + 1 in K:
         expected = tuple(range(n - ell + 1, n + 2))
-        if K != expected:
-            raise ValueError(
-                f"dependent subset {K} is not in standard position {expected}; "
-                "apply normalize_codim1_type first"
-            )
-        L = K[:-1]
-        if cols != tuple(S for S in sources if S != L):
-            raise RuntimeError(
-                "betanbc frames disagree with the closed form's basis"
-            )
-        col_index = {S: i for i, S in enumerate(cols)}
-        entries = []
-        for I in sources:
-            row = [zero] * len(cols)
-            if I != L:
-                row[col_index[I]] = one
-            entries.append(tuple(row))
-        return ProjectionMatrix(row_basis=sources, col_basis=cols, entries=tuple(entries))
-
-    expected = tuple(range(1, ell + 2))
+        special = K[:-1]  # its row of P is zero
+        d = w.one_scalar()
+    else:
+        expected = tuple(range(1, ell + 2))
+        special = tuple(range(2, ell + 2))
+        d = w.weight_sum(K)
     if K != expected:
         raise ValueError(
             f"dependent subset {K} is not in standard position {expected}; "
             "apply normalize_codim1_type first"
         )
-    F = tuple(range(2, ell + 2))
-    if cols != tuple(S for S in sources if S != F):
+    if cols != tuple(S for S in sources if S != special):
         raise RuntimeError("betanbc frames disagree with the closed form's basis")
     col_index = {S: i for i, S in enumerate(cols)}
-    lam_K = w.weight_sum(K)
-    entries = []
+    numerators = []
     for I in sources:
         row = [zero] * len(cols)
-        if I != F:
-            row[col_index[I]] = one
-        else:
+        if I != special:
+            row[col_index[I]] = d
+        elif n + 1 not in K:
             for j in range(2, ell + 2):
                 lam_j = w.weight(j)
                 sign = -1 if (j + ell) % 2 else 1
                 for q in range(ell + 2, n + 1):
-                    target = tuple(x for x in F if x != j) + (q,)
-                    if w.is_generic:
-                        value = RatFunc(sign * lam_j, lam_K)
-                    else:
-                        value = Fraction(sign) * lam_j / lam_K
-                    row[col_index[target]] = value
-        entries.append(tuple(row))
-    return ProjectionMatrix(row_basis=sources, col_basis=cols, entries=tuple(entries))
+                    target = tuple(x for x in special if x != j) + (q,)
+                    row[col_index[target]] = sign * lam_j
+        numerators.append(tuple(row))
+    return ProjectionMatrix(sources, cols, tuple(numerators), d)

@@ -2,17 +2,21 @@
 
 Bareiss elimination (Math. Comp. 22, 1968): every intermediate entry is a
 minor of the input matrix, and each step divides exactly by the previous
-pivot, so entries stay in the domain (no fractions or rational functions
-until back-substitution).  Three domains meet the one routine:
+pivot, so entries stay in the domain.  Back-substitution is fraction-free
+too (Nakos–Turner–Williams, SIGSAM Bull. 31(3), 1997): with d the last
+pivot, the determinant of the pivot block, d·X is a domain matrix by
+Cramer's rule, and each of its entries is an exact quotient by the pivot of
+its row.  ``solve_all`` returns N = d·X with d, so no fraction or rational
+function is built here.  Three domains meet the one routine:
 
 * ``Fraction`` systems: ``solve_all`` scales each row by the lcm of its
   denominators and eliminates over Python ``int``; the scaling changes
-  neither the nonzero pattern the pivots are chosen from nor the solutions.
+  neither the nonzero pattern the pivots are chosen from nor the solutions,
+  and N and d come back as ``int``.
 * ``MultiPoly`` systems, divided exactly by ``poly_exact_div``, with
   ``int`` coefficients wherever they are integral.  On the ladder
   degenerations every entry and pivot is a single term, so the division
-  takes its monomial route, and the ``RatFunc`` reductions of the
-  back-substitution take the single-term route of ``poly_gcd``.
+  takes its monomial route.
 * ``int`` exact division by ``divmod``, which raises ``ValueError`` on a
   nonzero remainder, as ``poly_exact_div`` does on a non-divisor.
 
@@ -30,7 +34,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import MultiPoly, RatFunc, poly_exact_div
+from .exact import MultiPoly, poly_exact_div
 
 
 def _exact_div(a, b):
@@ -42,15 +46,6 @@ def _exact_div(a, b):
     if isinstance(a, MultiPoly):
         return poly_exact_div(a, b)
     return a / b
-
-
-def _to_field(x):
-    """Lift a domain entry into its fraction field."""
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, MultiPoly):
-        return RatFunc(x)
-    return x
 
 
 class EchelonResult:
@@ -110,14 +105,15 @@ def fraction_free_echelon(matrix: Sequence[Sequence], ncols: int | None = None) 
 
 
 class SolveResult:
-    __slots__ = ("rank", "consistent", "solution", "bad_row", "pivots")
+    __slots__ = ("rank", "consistent", "solution", "denominator", "bad_row", "pivots")
 
-    def __init__(self, rank, consistent, solution, bad_row=None, pivots=()):
+    def __init__(self, rank, consistent, solution, denominator=1, bad_row=None, pivots=()):
         self.rank = rank
         self.consistent = consistent
-        self.solution = solution  # k x r field entries, or None
-        self.bad_row = bad_row    # first inconsistent row index, if any
-        self.pivots = pivots      # pivot columns of A, ascending
+        self.solution = solution        # k x r domain entries N = d·X, or None
+        self.denominator = denominator  # d, the last pivot (1 when rank is 0)
+        self.bad_row = bad_row          # first inconsistent row index, if any
+        self.pivots = pivots            # pivot columns of A, ascending
 
 
 def _integer_row(row: list) -> list[int]:
@@ -127,11 +123,12 @@ def _integer_row(row: list) -> list[int]:
 
 
 def solve_all(A: Sequence[Sequence], B: Sequence[Sequence]) -> SolveResult:
-    """Solve A·X = B column by column over the fraction field of the domain.
+    """Solve A·X = B column by column, fraction-free.
 
     A is m×k, B is m×r.  Free variables (columns of A without a pivot) are
-    set to zero.  When some column of B is not in the column span of A the
-    result is flagged inconsistent and carries the offending row.
+    set to zero.  The result carries N = d·X (k×r domain entries) and d, so
+    that A·N = d·B exactly.  When some column of B is not in the column span
+    of A the result is flagged inconsistent and carries the offending row.
     """
     nr = len(A)
     k = len(A[0]) if nr else 0
@@ -149,21 +146,20 @@ def solve_all(A: Sequence[Sequence], B: Sequence[Sequence]) -> SolveResult:
         for j in range(k, k + r):
             if ech.rows[i][j]:
                 return SolveResult(ech.rank, False, None, bad_row=i, pivots=pivots)
-    # back-substitution over the field
-    zero_dom = aug[0][0] - aug[0][0]
-    zero = _to_field(zero_dom)
-    X = [[zero for _ in range(r)] for _ in range(k)]
-    for idx in range(ech.rank - 1, -1, -1):
-        pr, pc = ech.pivots[idx]
-        pivot = _to_field(ech.rows[pr][pc])
+    # fraction-free back-substitution: p·N[pc] = d·b − Σ u·N, divided exactly
+    zero = aug[0][0] - aug[0][0]
+    d = ech.rows[ech.rank - 1][pivots[-1]] if pivots else zero + 1
+    N = [[zero] * r for _ in range(k)]
+    for pr, pc in reversed(ech.pivots):
+        row = ech.rows[pr]
         for j in range(r):
-            acc = _to_field(ech.rows[pr][k + j])
+            acc = d * row[k + j]
             for c2 in range(pc + 1, k):
-                e = ech.rows[pr][c2]
-                if e and X[c2][j]:
-                    acc = acc - _to_field(e) * X[c2][j]
-            X[pc][j] = acc / pivot
-    return SolveResult(ech.rank, True, X, pivots=pivots)
+                e = row[c2]
+                if e and N[c2][j]:
+                    acc = acc - e * N[c2][j]
+            N[pc][j] = _exact_div(acc, row[pc])
+    return SolveResult(ech.rank, True, N, d, pivots=pivots)
 
 
 def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]):

@@ -11,13 +11,14 @@ so every element rewrites uniquely onto the monomials indexed by nbc sets
 cocycles ζ(B) attached to betanbc frames, and the projection matrix carrying
 the general-position top cohomology basis onto the one of a degenerate type.
 
-Scalars follow the weight mode: MultiPoly/RatFunc for generic weights,
-Fraction for concrete ones.
+Scalars follow the weight mode: MultiPoly for generic weights, Fraction for
+concrete ones; the projection matrix is kept over one common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .aomoto_kita import _general_basis
@@ -32,7 +33,8 @@ from .arrangement import (
     nbc_sets,
     stv_check,
 )
-from .linalg import _to_field, solve_all
+from .exact import quotient
+from .linalg import solve_all
 
 
 class ResonantWeights(ValueError):
@@ -256,17 +258,24 @@ def zeta(B: Iterable[int], T: CombinatorialType, w: Weights) -> OSElement:
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
-    """Top-degree cohomology projection, rows acting as source basis labels.
+    """Top-degree cohomology projection P = N/d, rows acting as source basis
+    labels, stored as the domain ``numerators`` N over one ``denominator`` d.
 
-    ``entries[i][j]`` is the coefficient of the class of the image of
-    col_basis[j]'s monomial in the image of the source class labelled by
-    row_basis[i]; rows labelled by a frame that is itself in the column
-    basis are standard unit vectors.
+    ``entries[i][j]``, built on first use, is the coefficient of the class
+    of the image of col_basis[j]'s monomial in the image of the source class
+    labelled by row_basis[i]; rows labelled by a frame that is itself in the
+    column basis are standard unit vectors (d times them in N).
     """
 
     row_basis: tuple[tuple[int, ...], ...]
     col_basis: tuple[tuple[int, ...], ...]
-    entries: tuple[tuple[object, ...], ...]
+    numerators: tuple[tuple[object, ...], ...]
+    denominator: object
+
+    @cached_property
+    def entries(self) -> tuple[tuple[object, ...], ...]:
+        d = self.denominator
+        return tuple(tuple(quotient(x, d) for x in row) for row in self.numerators)
 
     def entry(self, I: tuple[int, ...], B: tuple[int, ...]):
         return self.entries[self.row_basis.index(I)][self.col_basis.index(B)]
@@ -292,9 +301,10 @@ def projection_matrix(T: CombinatorialType, w: Weights) -> ProjectionMatrix:
     convention of the worked examples.
 
     A source that is a target frame is its own column of the system, so its
-    row is that frame's unit vector, unsolved; the other rows come from one
-    exact linear solve.  Unless every frame column is a pivot column (the
-    frames independent modulo coboundaries), SpanDefect is raised.
+    row of N is d times that frame's unit vector, unsolved; the other rows
+    are the numerators of one fraction-free solve over its last pivot d.
+    Unless every frame column is a pivot column (the frames independent
+    modulo coboundaries), SpanDefect is raised.
     """
     if w.n != T.n:
         raise ValueError(f"weights are for n={w.n}, type has n={T.n}")
@@ -336,10 +346,10 @@ def projection_matrix(T: CombinatorialType, w: Weights) -> ProjectionMatrix:
     if dependent:
         raise SpanDefect(len(dependent), f"the images of the frames {dependent} are "
                          f"dependent modulo coboundaries in degree {ell}")
+    d = res.denominator
     rows = dict(zip(solved, zip(*res.solution[ncols_d:])))
-    one, zero = _to_field(w.one_scalar()), _to_field(zero)
-    entries = tuple(
-        rows[I] if I in rows else tuple(one if B == I else zero for B in betas)
+    numerators = tuple(
+        rows[I] if I in rows else tuple(d if B == I else d - d for B in betas)
         for I in sources
     )
-    return ProjectionMatrix(row_basis=sources, col_basis=betas, entries=entries)
+    return ProjectionMatrix(sources, betas, numerators, d)

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from gmarr import ConnectionMatrix, Weights, epsilon, omega_general
+from gmarr.aomoto_kita import MAX_GENERAL_BASIS, _general_basis
 from gmarr.exact import MultiPoly
 from gmarr.reference import render_scalar
 
@@ -258,3 +259,18 @@ def test_omega_validation():
     for n, ell in ((0, 0), (3, 0), (2, 3), (1, -1)):
         with pytest.raises(ValueError, match=f"need n >= ell >= 1, got n={n}, ell={ell}"):
             omega_general((1,), n, ell)
+
+
+def test_general_basis_size_limit():
+    # at ell = 1 the basis has n - 1 frames: exactly the limit, then one more
+    n = MAX_GENERAL_BASIS + 1
+    assert len(_general_basis(n, 1)) == MAX_GENERAL_BASIS
+    assert len(omega_general((1, 2), n, 1).basis) == MAX_GENERAL_BASIS
+    message = f"C\\({n}, 1\\) = {n} frames: over the limit {MAX_GENERAL_BASIS}"
+    with pytest.raises(ValueError, match=message):
+        _general_basis(n + 1, 1)
+    with pytest.raises(ValueError, match=message):
+        omega_general((1, 2), n + 1, 1)
+    assert len(_general_basis(33, 2)) == 496
+    with pytest.raises(ValueError, match="C\\(33, 2\\) = 528 frames"):
+        _general_basis(34, 2)

@@ -371,6 +371,21 @@ def test_omega_general_bad_n_ell(capsys, n, ell):
     assert json.loads(out) == {"error": message}
 
 
+def test_omega_general_basis_limit(capsys):
+    # C(2999, 2)^2 entries would exhaust memory; the limit refuses at once
+    args = ("omega-general", "--n", "3000", "--ell", "2", "--J", "1,2,3")
+    message = ("the general-position basis for n=3000, ell=2 has C(2999, 2) = 4495501 "
+               "frames: over the limit 500")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+    code, out, err = run(capsys, args[0], "--format", "json", *args[1:])
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": message}
+    assert time.perf_counter() - start < 1.0
+
+
 # ---------------------------------------------------------------------------
 # multiplicity / connection
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from gmarr.exact import (
     parse_rational,
     poly_exact_div,
     poly_gcd,
-    ratfunc_normalize,
 )
 
 
@@ -101,7 +100,7 @@ def test_gcd_shared_quadratic_factor():
 
 def test_normalize_cancels_common_factor():
     l1, l2, l3 = L(3, 1), L(3, 2), L(3, 3)
-    f = ratfunc_normalize(l2 * l2 + l2 * l3, l2 * l1 + l2 * l2 + l2 * l3)
+    f = RatFunc(l2 * l2 + l2 * l3, l2 * l1 + l2 * l2 + l2 * l3)
     assert f.num == l2 + l3
     assert f.den == l1 + l2 + l3
     assert str(f) == "(l2 + l3)/(l1 + l2 + l3)"
@@ -109,13 +108,13 @@ def test_normalize_cancels_common_factor():
 
 def test_normalize_already_canonical():
     l1, l2, l3 = L(3, 1), L(3, 2), L(3, 3)
-    f = ratfunc_normalize(-l3, l1 + l2 + l3)
+    f = RatFunc(-l3, l1 + l2 + l3)
     assert str(f) == "(-l3)/(l1 + l2 + l3)"
 
 
 def test_normalize_zero_numerator():
     l1 = L(3, 1)
-    f = ratfunc_normalize(MultiPoly.zero(3), l1)
+    f = RatFunc(MultiPoly.zero(3), l1)
     assert f.is_zero()
     assert f.den.is_one()
 
@@ -302,7 +301,7 @@ def test_gcd_divides_both(a, b):
 def test_normalize_scale_invariance(p, q, r):
     if q.is_zero() or r.is_zero():
         return
-    assert ratfunc_normalize(p * r, q * r) == ratfunc_normalize(p, q)
+    assert RatFunc(p * r, q * r) == RatFunc(p, q)
 
 
 @given(polys(max_terms=3), polys(max_terms=3))
@@ -310,8 +309,8 @@ def test_normalize_scale_invariance(p, q, r):
 def test_normalize_idempotent(p, q):
     if q.is_zero():
         return
-    f = ratfunc_normalize(p, q)
-    assert ratfunc_normalize(f.num, f.den) == f
+    f = RatFunc(p, q)
+    assert RatFunc(f.num, f.den) == f
 
 
 @given(polys(max_terms=3), polys(max_terms=3),

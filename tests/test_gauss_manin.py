@@ -504,12 +504,13 @@ def _zero_connection(basis):
 
 
 def test_solve_connection_non_unit_frame_row():
-    F = Fraction
+    # P = N/2: the row for (2, 4) is (1, 1/2), not its unit vector
     rows = ((2, 3), (2, 4), (3, 4))
     P = ProjectionMatrix(
         row_basis=rows,
         col_basis=((2, 4), (3, 4)),
-        entries=((F(1), F(1)), (F(1), F(1, 2)), (F(0), F(1))),
+        numerators=((2, 2), (2, 1), (0, 2)),
+        denominator=2,
     )
     with pytest.raises(InconsistentSystem) as exc:
         solve_connection(P, _zero_connection(rows))
@@ -517,16 +518,39 @@ def test_solve_connection_non_unit_frame_row():
 
 
 def test_solve_connection_frame_without_row():
-    F = Fraction
+    # P = N/3: the frame (2, 4) has its unit row, (2, 5) labels no row
     rows = ((2, 3), (2, 4), (3, 4))
     P = ProjectionMatrix(
         row_basis=rows,
         col_basis=((2, 4), (2, 5)),
-        entries=((F(0), F(1)), (F(1), F(0)), (F(1), F(1))),
+        numerators=((0, 3), (3, 0), (3, 3)),
+        denominator=3,
     )
     with pytest.raises(InconsistentSystem) as exc:
         solve_connection(P, _zero_connection(rows))
     assert exc.value.row_label == (2, 5)
+
+
+def test_solve_connection_names_a_corrupted_numerator_row():
+    # On the Selberg path, adding d to one numerator of the rows below makes
+    # N·W = d·(B·N) fail first on that row.  (A corrupted (4, 5) row is
+    # caught too, but first on the row (3, 5): through the frame rows of B
+    # it also changes W.)
+    p = _path(PATH_SELBERG)
+    w = Weights.generic(5)
+    B = combined_omega(p.T, p.Tprime, multiplicities(p), 5, 2, w)
+    P = projection_matrix(p.T, w)
+    assert P.denominator != 1
+    solve_connection(P, B)
+    for label in ((2, 3), (3, 4), (3, 5)):
+        i = P.row_basis.index(label)
+        for j in range(len(P.col_basis)):
+            N = [list(row) for row in P.numerators]
+            N[i][j] = N[i][j] + P.denominator  # P's entry plus 1
+            bad = ProjectionMatrix(P.row_basis, P.col_basis, tuple(map(tuple, N)), P.denominator)
+            with pytest.raises(InconsistentSystem) as exc:
+                solve_connection(bad, B)
+            assert exc.value.row_label == label, (label, j)
 
 
 def test_mat_mul_rejects_mismatched_inner_dimensions():
@@ -535,7 +559,7 @@ def test_mat_mul_rejects_mismatched_inner_dimensions():
 
 
 def test_solve_connection_empty_target():
-    P = ProjectionMatrix(row_basis=((2, 3),), col_basis=(), entries=((),))
+    P = ProjectionMatrix(row_basis=((2, 3),), col_basis=(), numerators=((),), denominator=1)
     B = ConnectionMatrix(basis=((2, 3),), entries=((Fraction(0),),))
     out = solve_connection(P, B)
     assert out.basis == () and out.entries == ()
@@ -581,6 +605,22 @@ def test_codim1_dimension_three_both_branches():
             codim1_projection_closed_form(T),
             projection_matrix(T, Weights.generic(5)),
         )
+
+
+def test_codim1_triple_point_gives_the_solved_omega():
+    # the closed form's denominator is λ_K, the solver's the last Bareiss
+    # pivot; both P must give the same Ω through solve_connection
+    rng = random.Random(79)
+    for rows in (PATH_T1, PATH_T2, PATH_T3):
+        p = _path(rows)
+        assert p.T.dep == frozenset({(1, 2, 3)})
+        for w in (Weights.generic(4), Weights.concrete(random_nonresonant_weights(rng, p.T))):
+            B = combined_omega(p.T, p.Tprime, multiplicities(p), 4, 2, w)
+            closed = codim1_projection_closed_form(p.T, w)
+            solved = projection_matrix(p.T, w)
+            assert closed.denominator == w.weight_sum((1, 2, 3))
+            assert closed.denominator != solved.denominator
+            assert solve_connection(closed, B) == solve_connection(solved, B)
 
 
 def test_codim1_concrete_weights():

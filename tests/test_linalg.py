@@ -1,15 +1,20 @@
 """solve_all and fraction_free_echelon against the Gauss-Jordan oracles.
 
-Fraction systems are eliminated over integer rows, so every check here also
-asserts that the solution comes back as Fractions and agrees entry for entry
-with the divide-and-pivot oracle in ``_helpers``.
+solve_all returns N = d·X over one common denominator d.  Fraction systems
+are eliminated over integer rows, so every check here also asserts that N
+and d come back as ints, that A·N = d·B exactly, that d is the determinant
+of a pivot block of the integer rows (up to sign, by cofactor expansion),
+and that N/d agrees entry for entry with the divide-and-pivot oracle in
+``_helpers``.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from _helpers import rref_rank, rref_solve
+from _helpers import cofactor_det, rref_rank, rref_solve
 
 from gmarr.exact import MultiPoly, RatFunc, evaluate
 from gmarr.linalg import _exact_div, fraction_free_echelon, solve_all
@@ -46,8 +51,17 @@ def _column(M, j):
     return [row[j] for row in M]
 
 
+def _pivot_block_dets(M, pivots):
+    """|det| of every square block of M on the pivot columns."""
+    return {
+        abs(cofactor_det([[M[i][c] for c in pivots] for i in rows]))
+        for rows in itertools.combinations(range(len(M)), len(pivots))
+    }
+
+
 def _check_against_oracle(A, B):
-    """solve_all(A, B) agrees with rref_rank / rref_solve and returns Fractions."""
+    """solve_all(A, B) agrees with rref_rank / rref_solve, A·N = d·B exactly,
+    and d is ± the determinant of a pivot block of the integer rows."""
     res = solve_all(A, B)
     k, r = len(A[0]), len(B[0])
     A_columns = [_column(A, c) for c in range(k)]
@@ -59,11 +73,19 @@ def _check_against_oracle(A, B):
         assert res.rank <= res.bad_row < len(A)
         return res
     assert res.bad_row is None
+    N, d = res.solution, res.denominator
+    assert type(d) is int and d
     for j in range(r):
         for c in range(k):
-            entry = res.solution[c][j]
-            assert type(entry) is Fraction
-            assert entry == expected[j][c]
+            entry = N[c][j]
+            assert type(entry) is int
+            assert Fraction(entry, d) == expected[j][c]
+    assert _product(A, N) == [[d * b for b in row] for row in B]
+    scaled = [
+        [x * math.lcm(*(y.denominator for y in A[i] + B[i])) for x in A[i]]
+        for i in range(len(A))
+    ]
+    assert abs(d) in _pivot_block_dets(scaled, res.pivots)
     return res
 
 
@@ -78,7 +100,8 @@ def test_random_fraction_systems_match_oracle(seed):
     res = _check_against_oracle(A, B)
     assert res.consistent
     if res.rank == k:
-        assert [[res.solution[c][j] for j in range(3)] for c in range(k)] == X
+        d = res.denominator
+        assert [[Fraction(res.solution[c][j], d) for j in range(3)] for c in range(k)] == X
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -151,15 +174,19 @@ def test_zero_rows_and_columns():
 
     res = _check_against_oracle([[z, z], [z, z]], [[z], [z]])
     assert (res.rank, res.consistent) == (0, True)
-    assert res.solution == [[Fraction(0)], [Fraction(0)]]
+    assert res.solution == [[0], [0]] and res.denominator == 1
 
 
 def test_integer_input_solves_to_fractions():
     A = [[2, 1], [1, 3]]
     B = [[1], [2]]
     res = solve_all(A, B)
-    assert res.solution == [[Fraction(1, 5)], [Fraction(3, 5)]]
-    assert all(type(x) is Fraction for row in res.solution for x in row)
+    assert (res.solution, res.denominator) == ([[1], [3]], 5)
+    assert all(type(x) is int for row in res.solution for x in row)
+    assert [Fraction(x, res.denominator) for (x,) in res.solution] == [
+        Fraction(1, 5),
+        Fraction(3, 5),
+    ]
 
 
 def test_multipoly_system_matches_oracle_at_a_point():
@@ -174,15 +201,18 @@ def test_multipoly_system_matches_oracle_at_a_point():
     B = [[l1 * l2], [zero], [one]]
     res = solve_all(A, B)
     assert res.rank == 3 and res.consistent
-    assert all(isinstance(x, RatFunc) for row in res.solution for x in row)
+    N, d = res.solution, res.denominator
+    assert all(isinstance(x, MultiPoly) for row in N for x in row)
+    assert d in (cofactor_det(A), -cofactor_det(A))
     for i in range(3):
-        lhs = sum((RatFunc(A[i][c]) * res.solution[c][0] for c in range(3)), RatFunc(zero))
-        assert lhs == RatFunc(B[i][0])
+        lhs = sum((A[i][c] * N[c][0] for c in range(3)), zero)
+        assert lhs == d * B[i][0]
+    X = [RatFunc(row[0], d) for row in N]
     for point in ([Fraction(2), Fraction(-3, 5)], [Fraction(7, 3), Fraction(1, 4)]):
         A_at = [[evaluate(x, point) for x in row] for row in A]
         b_at = [evaluate(row[0], point) for row in B]
         expected = rref_solve([_column(A_at, c) for c in range(3)], b_at)
-        assert [evaluate(res.solution[c][0], point) for c in range(3)] == expected
+        assert [evaluate(x, point) for x in X] == expected
 
 
 def test_multipoly_rank_deficiency_is_seen():
