@@ -35,7 +35,8 @@ class RealizationError(ValueError):
 
 
 class NotMatroidal(ValueError):
-    """A directly supplied dependence set violates basis exchange."""
+    """The type has no independent (ℓ+1)-subset: the hyperplanes and the one at
+    infinity have rank below ℓ+1, so the arrangement is not essential."""
 
 
 def _det_small(rows: list[list]) -> object:
@@ -231,7 +232,10 @@ class _Matroid:
 
     def __init__(self, ground: int, bases: Sequence[tuple[int, ...]], full_rank: int):
         if not bases:
-            raise NotMatroidal("no independent (ell+1)-subsets: dep cannot be realizable")
+            raise NotMatroidal(
+                "the hyperplanes and the hyperplane at infinity have rank below "
+                f"ell+1 = {full_rank}: the arrangement is not essential"
+            )
         self.ground = ground
         self.full_rank = full_rank
         self.bases = tuple(frozenset(b) for b in bases)
@@ -281,44 +285,9 @@ class _Matroid:
                     found.append(fs)
         return found
 
-    def verify_exchange(self, cap: int = 250_000) -> None:
-        """Check basis exchange on all pairs (or a deterministic prefix)."""
-        bases = self.bases
-        base_set = set(bases)
-        checked = 0
-        for ia, ib in itertools.combinations(range(len(bases)), 2):
-            if checked >= cap:
-                break
-            B1, B2 = bases[ia], bases[ib]
-            for x in B1 - B2:
-                ok = any(B1 - {x} | {y} in base_set for y in B2 - B1)
-                if not ok:
-                    raise NotMatroidal(
-                        f"basis exchange fails for {tuple(sorted(B1))}, "
-                        f"{tuple(sorted(B2))} at element {x}"
-                    )
-            checked += 1
-
-
 @lru_cache(maxsize=TYPE_CACHE_SIZE)
 def _matroid_of(T: CombinatorialType) -> _Matroid:
     return _Matroid(T.n + 1, T.ind, T.ell + 1)
-
-
-class MatroidData(NamedTuple):
-    bases: tuple[tuple[int, ...], ...]
-    circuits: tuple[tuple[int, ...], ...]
-    circuits_affine: tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=TYPE_CACHE_SIZE)
-def _circuits_full(T: CombinatorialType) -> tuple[tuple[int, ...], ...]:
-    m = _matroid_of(T)
-    return tuple(
-        tuple(sorted(c)) for c in sorted(
-            m.circuits_within(range(1, T.n + 2)), key=lambda c: (len(c), tuple(sorted(c)))
-        )
-    )
 
 
 @lru_cache(maxsize=TYPE_CACHE_SIZE)
@@ -339,12 +308,6 @@ def affine_circuits(T: CombinatorialType) -> tuple[tuple[int, ...], ...]:
                 found.append(fs)
                 out.append(S)
     return tuple(sorted(out, key=lambda c: (len(c), c)))
-
-
-def bases_and_circuits(T: CombinatorialType) -> MatroidData:
-    m = _matroid_of(T)
-    m.verify_exchange()
-    return MatroidData(bases=T.ind, circuits=_circuits_full(T), circuits_affine=affine_circuits(T))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from . import reference
 from .aomoto_kita import omega_general
 from .arrangement import (
     CombinatorialType,
-    NotMatroidal,
     Realization,
     RealizationError,
     Weights,
@@ -341,7 +340,7 @@ def _cmd_analyze(ns) -> str:
     return _emit(ns, text, doc)
 
 
-def _cmd_check_weights(ns) -> str:
+def _cmd_check_weights(ns) -> tuple[str, int]:
     r, w_file = parse_arrangement_file(_read_file(ns.file))
     _note_row_order(r)
     w = _pick_weights(ns, w_file)
@@ -570,23 +569,21 @@ _DISPATCH = {
     "omega-general": _cmd_omega_general,
     "multiplicity": _cmd_multiplicity,
     "connection": _cmd_connection,
+    "verify-paper": _cmd_verify,
 }
 
 
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
-        if ns.command == "verify-paper":
-            out, code = _cmd_verify(ns)
-        else:
-            out = _DISPATCH[ns.command](ns)
-            code = 0
-            if isinstance(out, tuple):
-                out, code = out
+        out = _DISPATCH[ns.command](ns)
     except (InconsistentSystem, SpanDefect) as e:
         return _report_error(ns, e, 2)
-    except (ValueError, NotMatroidal) as e:
+    except ValueError as e:
         return _report_error(ns, e, 1)
+    code = 0
+    if isinstance(out, tuple):
+        out, code = out
     sys.stdout.write(out)
     return code
 

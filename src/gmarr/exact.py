@@ -2,7 +2,7 @@
 
 Two value families cover every scalar that appears downstream:
 
-* ``Rational`` (= :class:`fractions.Fraction`): plain exact rationals.
+* :class:`fractions.Fraction`: plain exact rationals.
 * :class:`MultiPoly` and :class:`RatFunc`: sparse polynomials and reduced
   rational functions in the symbolic weight variables ``l1 .. ln``.  The
   weight of the hyperplane at infinity is never a stored variable; callers
@@ -43,8 +43,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
-
-Rational = Fraction
 
 Scalarish = Union[int, Fraction, "MultiPoly", "RatFunc"]
 
@@ -666,7 +664,7 @@ def quotient(num, den):
 
 
 def evaluate(f: Scalarish, values: Sequence[Fraction]) -> Fraction:
-    """Evaluate a scalar (Rational, MultiPoly or RatFunc) at concrete weights."""
+    """Evaluate a scalar (int, Fraction, MultiPoly or RatFunc) at concrete weights."""
     if isinstance(f, (int, Fraction)):
         return _as_fraction(f)
     return f.evaluate(values)

@@ -1,10 +1,12 @@
 """Built-in verification suite over the two worked examples.
 
-Everything here is self-contained: the four-line triple-point arrangement
-with its three one-parameter degenerations, and the five-line arrangement
-with a doubled vanishing order, are embedded as data together with the
-expected matrices (as canonical rendered strings).  Each check recomputes
-one artifact from scratch and compares exactly; there is no tolerance.
+This module is the one golden source of the worked examples: the four-line
+triple-point arrangement with its three one-parameter degenerations, and the
+five-line arrangement with a doubled vanishing order.  ``EXAMPLES`` holds
+their input files (``fixtures/`` holds the same documents as JSON, and the
+tests check that they agree) and ``EXPECTED`` the expected values, matrices
+as canonical rendered strings.  Each check recomputes one artifact from
+scratch and compares exactly; there is no tolerance.
 """
 
 from __future__ import annotations
@@ -27,62 +29,46 @@ from .gauss_manin import (
 )
 from .orlik_solomon import projection_matrix
 
-TRIPLE_POINT_ROWS = [
-    ["0", "1", "1"],
-    ["0", "1", "0"],
-    ["0", "1", "-1"],
-    ["-1", "0", "1"],
-]
 
-# three degenerations of the triple-point arrangement: line 4 sweeping onto
-# the triple point, lines 1 and 2 colliding, line 4 moving out to infinity
-TRIPLE_POINT_PATHS = {
-    "T1": (
-        [
-            ["0", "1", "1"],
-            ["0", "1", "0"],
-            ["0", "1", "-1"],
-            ["-1", "1 - t", "-1 + 2*t"],
-        ],
-        "1",
+def _example(rows, **path_keys) -> dict:
+    """An input file of the command-line format, with symbolic weights."""
+    doc = {"n": len(rows), "ell": len(rows[0]) - 1, "rows": rows, "weights": "generic"}
+    return {**doc, **path_keys}
+
+
+# The worked examples as input files, keyed by stem: EXAMPLES[stem] equals
+# json.loads of fixtures/<stem>.json.  The triple-point arrangement has three
+# degenerations: line 4 sweeping onto the triple point, lines 1 and 2
+# colliding, line 4 moving out to infinity.  On the Selberg path lines 3, 4, 5
+# collapse onto the horizontal axis as t -> 0.
+EXAMPLES = {
+    "triple_point": _example(
+        [["0", "1", "1"], ["0", "1", "0"], ["0", "1", "-1"], ["-1", "0", "1"]],
     ),
-    "T2": (
-        [
-            ["0", "1", "1"],
-            ["0", "1", "1 - t"],
-            ["0", "1", "-1"],
-            ["-1", "0", "1"],
-        ],
-        "1",
+    "triple_point_path_1": _example(
+        [["0", "1", "1"], ["0", "1", "0"], ["0", "1", "-1"], ["-1", "1 - t", "-1 + 2*t"]],
+        t_witness="1",
     ),
-    "T3": (
-        [
-            ["0", "1", "1"],
-            ["0", "1", "0"],
-            ["0", "1", "-1"],
-            ["-t", "0", "1"],
+    "triple_point_path_2": _example(
+        [["0", "1", "1"], ["0", "1", "1 - t"], ["0", "1", "-1"], ["-1", "0", "1"]],
+        t_witness="1",
+    ),
+    "triple_point_path_3": _example(
+        [["0", "1", "1"], ["0", "1", "0"], ["0", "1", "-1"], ["-t", "0", "1"]],
+        t_witness="1",
+    ),
+    "selberg": _example(
+        [["0", "1", "0"], ["-1", "1", "0"], ["0", "0", "1"], ["-1", "0", "1"], ["0", "1", "-1"]],
+    ),
+    "selberg_path": _example(
+        [["0", "1", "0"], ["-1", "1", "0"], ["0", "0", "1"], ["-t", "0", "1"], ["0", "t", "-1"]],
+        t_witness="1",
+        declared_dep_prime=[
+            [1, 2, 6], [1, 3, 4], [1, 3, 5], [1, 4, 5], [2, 3, 4], [2, 3, 5],
+            [2, 4, 5], [3, 4, 5], [3, 4, 6], [3, 5, 6], [4, 5, 6],
         ],
-        "1",
     ),
 }
-
-SELBERG_ROWS = [
-    ["0", "1", "0"],
-    ["-1", "1", "0"],
-    ["0", "0", "1"],
-    ["-1", "0", "1"],
-    ["0", "1", "-1"],
-]
-
-# lines 3, 4, 5 collapse onto the horizontal axis as t -> 0
-SELBERG_PATH_ROWS = [
-    ["0", "1", "0"],
-    ["-1", "1", "0"],
-    ["0", "0", "1"],
-    ["-t", "0", "1"],
-    ["0", "t", "-1"],
-]
-SELBERG_WITNESS = "1"
 
 EXPECTED = {
     "triple-point dep": ((1, 2, 3),),
@@ -159,12 +145,15 @@ EXPECTED = {
 }
 
 
-def _realization(rows) -> Realization:
+def _realization(stem: str) -> Realization:
+    rows = EXAMPLES[stem]["rows"]
     return Realization([[parse_rational(e) for e in row] for row in rows])
 
 
-def _path_realization(rows) -> Realization:
-    return Realization([[parse_path_poly(e) for e in row] for row in rows])
+def _path(stem: str) -> DegenerationPath:
+    doc = EXAMPLES[stem]
+    rows = [[parse_path_poly(e) for e in row] for row in doc["rows"]]
+    return DegenerationPath(Realization(rows), parse_rational(doc["t_witness"]))
 
 
 def render_scalar(x) -> str:
@@ -195,8 +184,7 @@ def run_checks() -> list[CheckResult]:
     """Recompute the full worked-example suite and compare to expectations."""
     out: list[CheckResult] = []
 
-    r = _realization(TRIPLE_POINT_ROWS)
-    T = compute_type(r)
+    T = compute_type(_realization("triple_point"))
     w4 = Weights.generic(4)
     out.append(_compare("triple-point dep", tuple(sorted(T.dep))))
     out.append(_compare("triple-point betanbc", betanbc_frames(T)))
@@ -220,22 +208,20 @@ def run_checks() -> list[CheckResult]:
     ]:
         out.append(_compare(name, _rendered(omega_general(J, 4, 2).entries)))
 
-    for key in ("T1", "T2", "T3"):
-        rows, witness = TRIPLE_POINT_PATHS[key]
-        dp = DegenerationPath(_path_realization(rows), parse_rational(witness))
+    for k in (1, 2, 3):
+        dp = _path(f"triple_point_path_{k}")
         if dp.T != T:
             out.append(
                 CheckResult(
-                    f"connection {key}", False,
+                    f"connection T{k}", False,
                     f"path witness type is {sorted(dp.T.dep)}, expected {sorted(T.dep)}",
                 )
             )
             continue
         omega, _ = connection_for_path(dp)
-        out.append(_compare(f"connection {key}", _rendered(omega.entries)))
+        out.append(_compare(f"connection T{k}", _rendered(omega.entries)))
 
-    s = _realization(SELBERG_ROWS)
-    S = compute_type(s)
+    S = compute_type(_realization("selberg"))
     w5 = Weights.generic(5)
     out.append(_compare("selberg dep", tuple(sorted(S.dep))))
     out.append(_compare("selberg betanbc", betanbc_frames(S)))
@@ -244,7 +230,7 @@ def run_checks() -> list[CheckResult]:
     )
     out.append(_compare("selberg projection", _rendered(projection_matrix(S, w5).entries)))
 
-    dp = DegenerationPath(_path_realization(SELBERG_PATH_ROWS), parse_rational(SELBERG_WITNESS))
+    dp = _path("selberg_path")
     ok_types = dp.T == S
     out.append(
         CheckResult(

@@ -35,25 +35,12 @@ from gmarr import (
     stv_check,
 )
 from gmarr.exact import evaluate, parse_path_poly
-from gmarr.reference import render_scalar
+from gmarr.reference import EXAMPLES, EXPECTED, render_scalar
 
 from _helpers import random_nonresonant_weights, random_realization, rref_rank
 
-# the two worked arrangements and their committed degeneration paths
-TRIPLE_POINT_ROWS = [["0", "1", "1"], ["0", "1", "0"], ["0", "1", "-1"], ["-1", "0", "1"]]
-PATHS_TRIPLE = {
-    "first": [["0", "1", "1"], ["0", "1", "0"], ["0", "1", "-1"], ["-1", "1 - t", "-1 + 2*t"]],
-    "second": [["0", "1", "1"], ["0", "1", "1 - t"], ["0", "1", "-1"], ["-1", "0", "1"]],
-    "third": [["0", "1", "1"], ["0", "1", "0"], ["0", "1", "-1"], ["-t", "0", "1"]],
-}
-SELBERG_ROWS = [["0", "1", "0"], ["-1", "1", "0"], ["0", "0", "1"], ["-1", "0", "1"], ["0", "1", "-1"]]
-PATH_SELBERG = [
-    ["0", "1", "0"],
-    ["-1", "1", "0"],
-    ["0", "0", "1"],
-    ["-t", "0", "1"],
-    ["0", "t", "-1"],
-]
+# the degeneration paths among the worked examples of the golden source
+PATH_STEMS = [stem for stem, doc in EXAMPLES.items() if "t_witness" in doc]
 
 
 def rational_rows(rows):
@@ -64,8 +51,13 @@ def path_rows(rows):
     return Realization(tuple(tuple(parse_path_poly(c) for c in row) for row in rows))
 
 
+def example_path(stem):
+    doc = EXAMPLES[stem]
+    return DegenerationPath(path_rows(doc["rows"]), Fraction(doc["t_witness"]))
+
+
 def rendered(entries):
-    return [[render_scalar(x) for x in row] for row in entries]
+    return tuple(tuple(render_scalar(x) for x in row) for row in entries)
 
 
 def report(line: str):
@@ -81,38 +73,22 @@ def _matmul(A, B, zero):
 
 def test_criterion_1_worked_example_golden_suite():
     start = time.monotonic()
-    T = compute_type(rational_rows(TRIPLE_POINT_ROWS))
+    T = compute_type(rational_rows(EXAMPLES["triple_point"]["rows"]))
     w = Weights.generic(4)
 
     P = projection_matrix(T, w)
     assert P.row_basis == ((2, 3), (2, 4), (3, 4))
     assert P.col_basis == ((2, 4), (3, 4))
-    assert rendered(P.entries) == [
-        ["(-l3)/(l1 + l2 + l3)", "(l2)/(l1 + l2 + l3)"],
-        ["1", "0"],
-        ["0", "1"],
-    ]
+    assert rendered(P.entries) == EXPECTED["projection triple-point"]
 
-    omegas = {
-        (3, 4, 5): [["0", "0", "-l2"], ["0", "0", "l2"], ["0", "0", "-l1 - l2"]],
-        (1, 2, 5): [["-l3", "-l3", "0"], ["-l4", "-l4", "0"], ["0", "0", "0"]],
-        (1, 2, 4): [["0", "0", "0"], ["l4", "l1 + l2 + l4", "l2"], ["0", "0", "0"]],
-        (1, 3, 4): [["0", "0", "0"], ["0", "0", "0"], ["-l4", "l3", "l1 + l3 + l4"]],
-        (2, 3, 4): [["l4", "-l3", "l2"], ["-l4", "l3", "-l2"], ["l4", "-l3", "l2"]],
-    }
-    for J, expected in omegas.items():
+    for J in [(3, 4, 5), (1, 2, 5), (1, 2, 4), (1, 3, 4), (2, 3, 4)]:
+        expected = EXPECTED["omega-general " + "".join(map(str, J))]
         assert rendered(omega_general(J, 4, 2, w).entries) == expected, J
 
-    connections = {
-        "first": [["0", "l2"], ["0", "-l1 - l2"]],
-        "second": [["l1 + l2", "l2"], ["0", "0"]],
-        "third": [["l1 + l2 + l3 + l4", "0"], ["0", "l1 + l2 + l3 + l4"]],
-    }
-    for name, expected in connections.items():
-        dp = DegenerationPath(path_rows(PATHS_TRIPLE[name]), Fraction(1))
-        omega, _ = connection_for_path(dp)
+    for k in (1, 2, 3):
+        omega, _ = connection_for_path(example_path(f"triple_point_path_{k}"))
         assert omega.basis == ((2, 4), (3, 4))
-        assert rendered(omega.entries) == expected, name
+        assert rendered(omega.entries) == EXPECTED[f"connection T{k}"], k
 
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"golden suite took {elapsed:.2f}s"
@@ -124,32 +100,19 @@ def test_criterion_1_worked_example_golden_suite():
 
 def test_criterion_2_doubled_order_golden_suite():
     start = time.monotonic()
-    S = compute_type(rational_rows(SELBERG_ROWS))
+    S = compute_type(rational_rows(EXAMPLES["selberg"]["rows"]))
     w = Weights.generic(5)
 
-    assert betanbc_frames(S) == ((2, 4), (2, 5))
+    assert betanbc_frames(S) == EXPECTED["selberg betanbc"]
 
     conditions = stv_check(S, w).conditions
-    assert tuple(members for members, _ in conditions) == (
-        (1,), (2,), (3,), (4,), (5,), (6,),
-        (1, 2, 6), (1, 3, 5), (2, 4, 5), (3, 4, 6),
-    )
+    assert tuple(members for members, _ in conditions) == EXPECTED["selberg dense edges"]
 
     P = projection_matrix(S, w)
     assert P.row_basis == ((2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5))
-    assert rendered(P.entries) == [
-        ["-1", "-1"],
-        ["1", "0"],
-        ["0", "1"],
-        ["0", "0"],
-        [
-            "(-l2*l5 + l3*l5)/(l1*l2 + l2*l3 + l2*l5)",
-            "(-l2*l3 - l2*l5 - l3*l4)/(l1*l2 + l2*l3 + l2*l5)",
-        ],
-        ["(-l5)/(l2)", "(l4)/(l2)"],
-    ]
+    assert rendered(P.entries) == EXPECTED["selberg projection"]
 
-    dp = DegenerationPath(path_rows(PATH_SELBERG), Fraction(1))
+    dp = example_path("selberg_path")
     table = multiplicities(dp).mapping()
     assert table[(3, 4, 5)] == 2
     assert all(m == 1 for J, m in table.items() if J != (3, 4, 5))
@@ -157,10 +120,7 @@ def test_criterion_2_doubled_order_golden_suite():
 
     omega, _ = connection_for_path(dp)
     assert omega.basis == ((2, 4), (2, 5))
-    assert rendered(omega.entries) == [
-        ["l3 + l4 + l5", "0"],
-        ["0", "l3 + l4 + l5"],
-    ]
+    assert rendered(omega.entries) == EXPECTED["selberg connection"]
 
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"doubled-order suite took {elapsed:.2f}s"
@@ -170,35 +130,34 @@ def test_criterion_2_doubled_order_golden_suite():
     )
 
 
-def test_criterion_3_symbolic_specializes_to_numeric():
-    rng = random.Random(20260821)
-    T = compute_type(rational_rows(TRIPLE_POINT_ROWS))
-    Psym = projection_matrix(T, Weights.generic(4))
-    paths = {
-        name: DegenerationPath(path_rows(rows), Fraction(1))
-        for name, rows in PATHS_TRIPLE.items()
-    }
-    sym_omega = {name: connection_for_path(p)[0] for name, p in paths.items()}
-    tables = {name: multiplicities(p) for name, p in paths.items()}
+def _assert_specializes(sym_entries, num_entries, vals):
+    for rs, rn in zip(sym_entries, num_entries):
+        for s, c in zip(rs, rn):
+            assert evaluate(s, vals) == Fraction(c)
 
-    count = 0
-    while count < 50:
-        vals = random_nonresonant_weights(rng, T)
-        w = Weights.concrete(vals)
-        Pnum = projection_matrix(T, w)
-        for rs, rn in zip(Psym.entries, Pnum.entries):
-            for s, c in zip(rs, rn):
-                assert evaluate(s, vals) == Fraction(c)
-        for name, p in paths.items():
-            B = combined_omega(p.T, p.Tprime, tables[name], 4, 2, w)
-            num = solve_connection(Pnum, B)
-            for rs, rn in zip(sym_omega[name].entries, num.entries):
-                for s, c in zip(rs, rn):
-                    assert evaluate(s, vals) == Fraction(c)
-        count += 1
+
+def test_criterion_3_symbolic_specializes_to_numeric():
+    # every worked path, grouped by the type at its witness
+    rng = random.Random(20260821)
+    by_type = {}
+    for stem in PATH_STEMS:
+        p = example_path(stem)
+        by_type.setdefault(p.T, []).append((p, multiplicities(p), connection_for_path(p)[0]))
+
+    for T, paths in by_type.items():
+        Psym = projection_matrix(T, Weights.generic(T.n))
+        for _ in range(50):
+            vals = random_nonresonant_weights(rng, T)
+            w = Weights.concrete(vals)
+            Pnum = projection_matrix(T, w)
+            _assert_specializes(Psym.entries, Pnum.entries, vals)
+            for p, table, sym_omega in paths:
+                B = combined_omega(p.T, p.Tprime, table, T.n, T.ell, w)
+                _assert_specializes(sym_omega.entries, solve_connection(Pnum, B).entries, vals)
     report(
-        "criterion 3: PASS - 50 random nonresonant weight vectors: numeric "
-        "projection and connection equal the evaluated symbolic ones"
+        f"criterion 3: PASS - 50 random nonresonant weight vectors on each of "
+        f"{len(PATH_STEMS)} worked paths: numeric projection and connection "
+        "equal the evaluated symbolic ones"
     )
 
 
@@ -263,8 +222,8 @@ def test_criterion_5_codim1_closed_form_matches_solver():
 
 
 def test_criterion_6_connection_equation_and_corruption():
-    for rows in [*PATHS_TRIPLE.values(), PATH_SELBERG]:
-        p = DegenerationPath(path_rows(rows), Fraction(1))
+    for stem in PATH_STEMS:
+        p = example_path(stem)
         w = Weights.generic(p.T.n)
         mult = multiplicities(p)
         B = combined_omega(p.T, p.Tprime, mult, p.T.n, p.T.ell, w)
@@ -283,7 +242,7 @@ def test_criterion_6_connection_equation_and_corruption():
         assert lhs == rhs
 
     # corrupting the doubled order must not go unnoticed
-    p = DegenerationPath(path_rows(PATH_SELBERG), Fraction(1))
+    p = example_path("selberg_path")
     w = Weights.generic(5)
     corrupted = multiplicities(p).mapping()
     corrupted[(3, 4, 5)] = 1
@@ -308,7 +267,7 @@ def test_criterion_7_invalid_paths_rejected():
     wrong = CombinatorialType(4, 2, [(1, 2, 3), (1, 2, 4)])
     with pytest.raises(PathError, match="T' at t = 0"):
         DegenerationPath(
-            path_rows(PATHS_TRIPLE["first"]), Fraction(1), declared_Tprime=wrong
+            example_path("triple_point_path_1").realization, Fraction(1), declared_Tprime=wrong
         )
 
     # a stored type hiding an identically-vanishing minor

@@ -13,7 +13,6 @@ from gmarr.arrangement import (
     Weights,
     affine_circuits,
     betanbc_frames,
-    bases_and_circuits,
     betti_and_euler,
     compute_type,
     dense_edges,
@@ -23,6 +22,7 @@ from gmarr.arrangement import (
     stv_check,
 )
 from gmarr.exact import PathPoly, parse_path_poly, parse_rational
+from gmarr.reference import EXAMPLES, EXPECTED
 
 from _helpers import (
     betti_oracle,
@@ -43,12 +43,8 @@ def path_rows(rows):
     return [[parse_path_poly(e) for e in row] for row in rows]
 
 
-TRIPLE_POINT = rational_rows(
-    [["0", "1", "1"], ["0", "1", "0"], ["0", "1", "-1"], ["-1", "0", "1"]]
-)
-SELBERG = rational_rows(
-    [["0", "1", "0"], ["-1", "1", "0"], ["0", "0", "1"], ["-1", "0", "1"], ["0", "1", "-1"]]
-)
+TRIPLE_POINT = rational_rows(EXAMPLES["triple_point"]["rows"])
+SELBERG = rational_rows(EXAMPLES["selberg"]["rows"])
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +146,13 @@ def test_specialize_requires_path():
 def test_triple_point_type():
     T = compute_type(Realization(TRIPLE_POINT))
     assert (T.n, T.ell) == (4, 2)
-    assert sorted(T.dep) == [(1, 2, 3)]
+    assert tuple(sorted(T.dep)) == EXPECTED["triple-point dep"]
     assert T.normal_position
 
 
 def test_selberg_type():
     S = compute_type(Realization(SELBERG))
-    assert sorted(S.dep) == [(1, 2, 6), (1, 3, 5), (2, 4, 5), (3, 4, 6)]
+    assert tuple(sorted(S.dep)) == EXPECTED["selberg dep"]
     assert not S.normal_position
 
 
@@ -180,13 +176,6 @@ def test_affine_circuits_triple_point():
 def test_affine_circuits_selberg():
     S = compute_type(Realization(SELBERG))
     assert affine_circuits(S) == ((1, 3, 5), (2, 4, 5))
-
-
-def test_matroid_data_exposes_both_circuit_kinds():
-    S = compute_type(Realization(SELBERG))
-    data = bases_and_circuits(S)
-    assert data.circuits_affine == ((1, 3, 5), (2, 4, 5))
-    assert (1, 2, 6) in data.circuits
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +210,9 @@ def test_nbc_matches_brute_force_random():
 def test_betanbc_frozen_values():
     T = compute_type(Realization(TRIPLE_POINT))
     S = compute_type(Realization(SELBERG))
-    assert betanbc_frames(T) == ((2, 4), (3, 4))
-    assert betanbc_frames(S) == ((2, 4), (2, 5))
-    assert betanbc_frames(general_position_type(4, 2)) == ((2, 3), (2, 4), (3, 4))
+    assert betanbc_frames(T) == EXPECTED["triple-point betanbc"]
+    assert betanbc_frames(S) == EXPECTED["selberg betanbc"]
+    assert betanbc_frames(general_position_type(4, 2)) == EXPECTED["general betanbc (n=4)"]
 
 
 def test_betanbc_general_position_count():
@@ -324,17 +313,14 @@ def test_betanbc_counts_euler_characteristic():
 
 def test_dense_edges_triple_point():
     T = compute_type(Realization(TRIPLE_POINT))
-    members = [f.members for f in dense_edges(T)]
-    assert members == [(1,), (2,), (3,), (4,), (5,), (1, 2, 3)]
+    members = tuple(f.members for f in dense_edges(T))
+    assert members == EXPECTED["triple-point dense edges"]
 
 
 def test_dense_edges_selberg():
     S = compute_type(Realization(SELBERG))
-    members = [f.members for f in dense_edges(S)]
-    assert members == [
-        (1,), (2,), (3,), (4,), (5,), (6,),
-        (1, 2, 6), (1, 3, 5), (2, 4, 5), (3, 4, 6),
-    ]
+    members = tuple(f.members for f in dense_edges(S))
+    assert members == EXPECTED["selberg dense edges"]
 
 
 def test_stv_generic_is_symbolic():

@@ -22,6 +22,7 @@ from gmarr.cli import (
     parse_path_file,
     render_fixture,
 )
+from gmarr.reference import EXAMPLES, EXPECTED
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -47,6 +48,13 @@ def fx(name: str) -> str:
 # ---------------------------------------------------------------------------
 # file parsing and serialization
 # ---------------------------------------------------------------------------
+
+
+def test_fixtures_equal_the_golden_examples():
+    fixtures = {f.stem: json.loads(f.read_text()) for f in FIXTURES.glob("*.json")}
+    assert set(fixtures) == set(EXAMPLES)
+    for stem, doc in fixtures.items():
+        assert doc == EXAMPLES[stem], stem
 
 
 def test_arrangement_files_round_trip():
@@ -92,25 +100,21 @@ def test_selberg_path_file_declares_limit_type():
     assert pf.t_witness == Fraction(1)
 
 
+GOOD_DOC = EXAMPLES["triple_point"]
+ROWS = GOOD_DOC["rows"]
+
+
+def _mutated(**changes):
+    return json.dumps({**GOOD_DOC, **changes})
+
+
 def test_integer_cells_accepted():
-    doc = {
-        "n": 4,
-        "ell": 2,
-        "rows": [[0, 1, 1], [0, 1, 0], [0, 1, -1], [-1, 0, 1]],
-        "weights": "generic",
-    }
-    r, w = parse_arrangement_file(json.dumps(doc))
+    r, w = parse_arrangement_file(_mutated(rows=[[int(x) for x in row] for row in ROWS]))
     assert r.n == 4 and w.is_generic
 
 
 def test_concrete_weights_parsed():
-    doc = {
-        "n": 4,
-        "ell": 2,
-        "rows": [["0", "1", "1"], ["0", "1", "0"], ["0", "1", "-1"], ["-1", "0", "1"]],
-        "weights": ["1/5", "-2/7", "3/11", "1/13"],
-    }
-    _, w = parse_arrangement_file(json.dumps(doc))
+    _, w = parse_arrangement_file(_mutated(weights=["1/5", "-2/7", "3/11", "1/13"]))
     assert not w.is_generic
     assert w.values == (
         Fraction(1, 5),
@@ -118,20 +122,6 @@ def test_concrete_weights_parsed():
         Fraction(3, 11),
         Fraction(1, 13),
     )
-
-
-GOOD_DOC = {
-    "n": 4,
-    "ell": 2,
-    "rows": [["0", "1", "1"], ["0", "1", "0"], ["0", "1", "-1"], ["-1", "0", "1"]],
-    "weights": "generic",
-}
-
-
-def _mutated(**changes):
-    doc = json.loads(json.dumps(GOOD_DOC))
-    doc.update(changes)
-    return json.dumps(doc)
 
 
 @pytest.mark.parametrize(
@@ -145,32 +135,32 @@ def _mutated(**changes):
         (_mutated(n=True), '"n" must be a positive integer'),
         (_mutated(ell=None), '"ell" must be a positive integer'),
         (_mutated(rows="nope"), '"rows" must be a list of 4 rows'),
-        (_mutated(rows=[["0", "1", "1"]]), '"rows" must be a list of 4 rows'),
+        (_mutated(rows=[ROWS[0]]), '"rows" must be a list of 4 rows'),
         (
-            _mutated(rows=[["0", "1"], ["0", "1", "0"], ["0", "1", "-1"], ["-1", "0", "1"]]),
+            _mutated(rows=[["0", "1"], *ROWS[1:]]),
             "row 1 must have 3 entries",
         ),
         (
-            _mutated(rows=[["0", "1", 1.5], ["0", "1", "0"], ["0", "1", "-1"], ["-1", "0", "1"]]),
+            _mutated(rows=[["0", "1", 1.5], *ROWS[1:]]),
             "entries must be exact rational strings",
         ),
         (
-            _mutated(rows=[["0", "1", "x"], ["0", "1", "0"], ["0", "1", "-1"], ["-1", "0", "1"]]),
+            _mutated(rows=[["0", "1", "x"], *ROWS[1:]]),
             "row 1, entry 3",
         ),
         (
-            _mutated(rows=[["0", "1", "1 - t"], ["0", "1", "0"], ["0", "1", "-1"], ["-1", "0", "1"]]),
+            _mutated(rows=[["0", "1", "1 - t"], *ROWS[1:]]),
             "row 1, entry 3",
         ),
         (_mutated(weights=["1", "2"]), '"weights" must list 4 values'),
         (_mutated(weights={"a": 1}), '"weights" must be "generic"'),
         (_mutated(weights=["1", "2", "1/0", "4"]), "weight 3"),
         (
-            _mutated(rows=[["0", "1", "1"], ["0", "2", "2"], ["0", "1", "-1"], ["-1", "0", "1"]]),
+            _mutated(rows=[ROWS[0], ["0", "2", "2"], *ROWS[2:]]),
             "projectively equal",
         ),
         (
-            _mutated(rows=[["0", "0", "0"], ["0", "1", "0"], ["0", "1", "-1"], ["-1", "0", "1"]]),
+            _mutated(rows=[["0", "0", "0"], *ROWS[1:]]),
             "zero",
         ),
     ],
@@ -182,15 +172,7 @@ def test_arrangement_parse_errors(data, fragment):
 
 
 def _path_doc(**changes):
-    doc = {
-        "n": 4,
-        "ell": 2,
-        "rows": [["0", "1", "1"], ["0", "1", "0"], ["0", "1", "-1"], ["-t", "0", "1"]],
-        "weights": "generic",
-        "t_witness": "1",
-    }
-    doc.update(changes)
-    return json.dumps(doc)
+    return json.dumps({**EXAMPLES["triple_point_path_3"], **changes})
 
 
 def test_path_parse_errors():
@@ -267,9 +249,7 @@ def test_check_weights_generic_ok(capsys):
 
 def test_check_weights_resonant(tmp_path, capsys):
     bad = tmp_path / "resonant.json"
-    doc = json.loads(json.dumps(GOOD_DOC))
-    doc["weights"] = ["1", "1", "-2", "1/2"]
-    bad.write_text(json.dumps(doc))
+    bad.write_text(_mutated(weights=["1", "1", "-2", "1/2"]))
     code, out, err = run(capsys, "check-weights", str(bad))
     assert code == 1
     assert "verdict: resonant" in out
@@ -285,6 +265,22 @@ def test_check_weights_resonant(tmp_path, capsys):
     code, out, err = run(capsys, "check-weights", "--weights", "generic", str(bad))
     assert code == 0
     assert "verdict: ok (symbolic weights satisfy every condition)" in out
+
+
+def test_non_essential_arrangement_named(tmp_path, capsys):
+    # three parallel lines: with the line at infinity they span rank 2 < ell+1
+    doc = {"n": 3, "ell": 2, "rows": [["0", "1", "0"], ["1", "1", "0"], ["2", "1", "0"]]}
+    f = tmp_path / "parallel.json"
+    f.write_text(json.dumps(doc))
+    message = ("the hyperplanes and the hyperplane at infinity have rank below ell+1 = 3: "
+               "the arrangement is not essential")
+    for command in ("analyze", "projection", "check-weights"):
+        code, out, err = run(capsys, command, str(f))
+        assert code == 1 and out == ""
+        assert err.endswith(f"error: {message}\n"), command
+        code, out, err = run(capsys, command, "--format", "json", str(f))
+        assert code == 1
+        assert json.loads(out) == {"error": message}, command
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +307,12 @@ def test_projection_selberg_json(capsys):
     doc = json.loads(out)
     assert doc["row_basis"] == [[2, 3], [2, 4], [2, 5], [3, 4], [3, 5], [4, 5]]
     assert doc["col_basis"] == [[2, 4], [2, 5]]
-    assert doc["entries"][5] == ["(-l5)/(l2)", "(l4)/(l2)"]
+    assert doc["entries"] == [list(row) for row in EXPECTED["selberg projection"]]
 
 
 def test_projection_resonant_weights_exit_1(tmp_path, capsys):
     bad = tmp_path / "resonant.json"
-    doc = json.loads(json.dumps(GOOD_DOC))
-    doc["weights"] = ["1", "1", "-2", "1/2"]
-    bad.write_text(json.dumps(doc))
+    bad.write_text(_mutated(weights=["1", "1", "-2", "1/2"]))
     code, out, err = run(capsys, "projection", str(bad))
     assert code == 1 and out == ""
     assert err.startswith("error:")
@@ -343,11 +337,7 @@ def test_omega_general_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["J"] == [1, 2, 4]
-    assert doc["entries"] == [
-        ["0", "0", "0"],
-        ["l4", "l1 + l2 + l4", "l2"],
-        ["0", "0", "0"],
-    ]
+    assert doc["entries"] == [list(row) for row in EXPECTED["omega-general 124"]]
 
 
 def test_omega_general_bad_J(capsys):
@@ -429,7 +419,7 @@ def test_connection_triple_point_2_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["row_basis"] == [[2, 4], [3, 4]]
-    assert doc["entries"] == [["l1 + l2", "l2"], ["0", "0"]]
+    assert doc["entries"] == [list(row) for row in EXPECTED["connection T2"]]
 
 
 def test_connection_selberg_text(capsys):
@@ -501,7 +491,7 @@ def test_path_witness_size_within_limit(tmp_path, capsys):
     # short one when they carry high powers
     doc = json.loads((FIXTURES / "triple_point_path_1.json").read_text())
     for witness, row, m in (
-        ("3" * 4000, ["-1", "1 - t", "-1 + 2*t"], 1),
+        ("3" * 4000, doc["rows"][3], 1),
         ("2", ["-1 + t^1000", "1 - t^1000", "-1 + 2*t^1000"], 1000),
     ):
         doc["t_witness"], doc["rows"][3] = witness, row

@@ -38,7 +38,7 @@ from gmarr import (
 )
 from gmarr.exact import PathPoly, parse_path_poly
 from gmarr.linalg import mat_mul
-from gmarr.reference import render_scalar
+from gmarr.reference import EXAMPLES, EXPECTED, render_scalar
 
 from _helpers import cofactor_det, random_nonresonant_weights
 
@@ -55,18 +55,12 @@ def rational_rows(rows):
     )
 
 
-TRIPLE_POINT_ROWS = [["0", "1", "1"], ["0", "1", "0"], ["0", "1", "-1"], ["-1", "0", "1"]]
+TRIPLE_POINT_ROWS = EXAMPLES["triple_point"]["rows"]
 
-PATH_T1 = [["0", "1", "1"], ["0", "1", "0"], ["0", "1", "-1"], ["-1", "1 - t", "-1 + 2*t"]]
-PATH_T2 = [["0", "1", "1"], ["0", "1", "1 - t"], ["0", "1", "-1"], ["-1", "0", "1"]]
-PATH_T3 = [["0", "1", "1"], ["0", "1", "0"], ["0", "1", "-1"], ["-t", "0", "1"]]
-PATH_SELBERG = [
-    ["0", "1", "0"],
-    ["-1", "1", "0"],
-    ["0", "0", "1"],
-    ["-t", "0", "1"],
-    ["0", "t", "-1"],
-]
+PATH_T1 = EXAMPLES["triple_point_path_1"]["rows"]
+PATH_T2 = EXAMPLES["triple_point_path_2"]["rows"]
+PATH_T3 = EXAMPLES["triple_point_path_3"]["rows"]
+PATH_SELBERG = EXAMPLES["selberg_path"]["rows"]
 
 # rows 3, 4, 5 sum to zero identically: the (3,4,5)-minor vanishes for every t
 PATH_ALWAYS_DEP = [
@@ -99,15 +93,7 @@ def test_relative_dep_of_fixture_paths():
         (2, 3, 4),
     )
     p = _path(PATH_SELBERG)
-    assert relative_dep(p.T, p.Tprime) == (
-        (1, 3, 4),
-        (1, 4, 5),
-        (2, 3, 4),
-        (2, 3, 5),
-        (3, 4, 5),
-        (3, 5, 6),
-        (4, 5, 6),
-    )
+    assert relative_dep(p.T, p.Tprime) == EXPECTED["selberg relative dep"]
 
 
 def test_relative_dep_errors():
@@ -133,7 +119,7 @@ def test_path_endpoint_types():
     p3 = _path(PATH_T3)
     assert sorted(p3.Tprime.dep) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     ps = _path(PATH_SELBERG)
-    assert sorted(ps.T.dep) == [(1, 2, 6), (1, 3, 5), (2, 4, 5), (3, 4, 6)]
+    assert tuple(sorted(ps.T.dep)) == EXPECTED["selberg dep"]
     assert len(ps.Tprime.dep) == 11
 
 
@@ -259,15 +245,7 @@ def test_multiplicities_fixture_tables():
         ((2, 3, 4), 1),
     )
     table = multiplicities(_path(PATH_SELBERG))
-    assert table.mapping() == {
-        (1, 3, 4): 1,
-        (1, 4, 5): 1,
-        (2, 3, 4): 1,
-        (2, 3, 5): 1,
-        (3, 4, 5): 2,
-        (3, 5, 6): 1,
-        (4, 5, 6): 1,
-    }
+    assert table.items == EXPECTED["selberg multiplicities"]
     assert table.caveat == COVER_CAVEAT
 
 
@@ -379,37 +357,31 @@ def test_combined_omega_shape_errors():
 
 
 def _rendered(m: ConnectionMatrix):
-    return [[render_scalar(x) for x in row] for row in m.entries]
+    return tuple(tuple(render_scalar(x) for x in row) for row in m.entries)
 
 
 def test_connection_t1():
     omega, mult = connection_for_path(_path(PATH_T1))
     assert omega.basis == ((2, 4), (3, 4))
     assert mult.items == (((3, 4, 5), 1),)
-    assert _rendered(omega) == [["0", "l2"], ["0", "-l1 - l2"]]
+    assert _rendered(omega) == EXPECTED["connection T1"]
 
 
 def test_connection_t2():
     omega, _ = connection_for_path(_path(PATH_T2))
-    assert _rendered(omega) == [["l1 + l2", "l2"], ["0", "0"]]
+    assert _rendered(omega) == EXPECTED["connection T2"]
 
 
 def test_connection_t3():
     omega, _ = connection_for_path(_path(PATH_T3))
-    assert _rendered(omega) == [
-        ["l1 + l2 + l3 + l4", "0"],
-        ["0", "l1 + l2 + l3 + l4"],
-    ]
+    assert _rendered(omega) == EXPECTED["connection T3"]
 
 
 def test_connection_selberg():
     omega, mult = connection_for_path(_path(PATH_SELBERG))
     assert omega.basis == ((2, 4), (2, 5))
     assert mult.mapping()[(3, 4, 5)] == 2
-    assert _rendered(omega) == [
-        ["l3 + l4 + l5", "0"],
-        ["0", "l3 + l4 + l5"],
-    ]
+    assert _rendered(omega) == EXPECTED["selberg connection"]
 
 
 def _matmul(A, B, zero):

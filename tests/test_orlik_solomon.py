@@ -3,7 +3,9 @@ the multiplication-by-a_lambda matrices and the projection matrix.
 
 Derived values are cross-checked against the raw exterior-algebra quotient
 oracle in _helpers (free wedge monomials modulo explicitly listed relations,
-plain Gauss-Jordan); worked values are frozen as rendered strings.
+plain Gauss-Jordan); worked values are frozen as rendered strings, and the
+two worked projection matrices are compared with the golden values of
+``gmarr.reference``.
 """
 
 import itertools
@@ -30,7 +32,7 @@ from gmarr import (
     zeta,
 )
 from gmarr.exact import RatFunc
-from gmarr.reference import render_scalar
+from gmarr.reference import EXAMPLES, EXPECTED, render_scalar
 
 from _helpers import (
     QuotientOracle,
@@ -51,9 +53,7 @@ def rational_rows(rows):
 TRIPLE_POINT = rational_rows(
     [[0, 1, 0], [-1, 1, 1], [-2, 1, 2], [0, 1, -1]]
 )
-SELBERG = rational_rows(
-    [[0, 1, 0], [-1, 1, 0], [0, 0, 1], [-1, 0, 1], [0, 1, -1]]
-)
+SELBERG = rational_rows(EXAMPLES["selberg"]["rows"])
 
 # l = 3 arrangements with three planes through a line (planes 1, 2, 3).  A
 # monomial can then hold a broken circuit and more, so straightening rewrites
@@ -403,42 +403,27 @@ def test_projection_general_position_is_identity():
     assert rendered == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
 
+def _rendered(P):
+    return tuple(tuple(render_scalar(e) for e in row) for row in P.entries)
+
+
 def test_projection_triple_point_rendered():
     P = projection_matrix(T_TRIPLE, Weights.generic(4))
     assert P.row_basis == ((2, 3), (2, 4), (3, 4))
     assert P.col_basis == ((2, 4), (3, 4))
-    rendered = [[render_scalar(e) for e in row] for row in P.entries]
-    assert rendered == [
-        ["(-l3)/(l1 + l2 + l3)", "(l2)/(l1 + l2 + l3)"],
-        ["1", "0"],
-        ["0", "1"],
-    ]
+    assert _rendered(P) == EXPECTED["projection triple-point"]
 
 
 def test_projection_selberg_rendered():
     P = projection_matrix(T_SELBERG, Weights.generic(5))
     assert P.row_basis == ((2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5))
     assert P.col_basis == ((2, 4), (2, 5))
-    rendered = {
-        I: [render_scalar(e) for e in row]
-        for I, row in zip(P.row_basis, P.entries)
-    }
-    assert rendered == {
-        (2, 3): ["-1", "-1"],
-        (2, 4): ["1", "0"],
-        (2, 5): ["0", "1"],
-        (3, 4): ["0", "0"],
-        (3, 5): [
-            "(-l2*l5 + l3*l5)/(l1*l2 + l2*l3 + l2*l5)",
-            "(-l2*l3 - l2*l5 - l3*l4)/(l1*l2 + l2*l3 + l2*l5)",
-        ],
-        (4, 5): ["(-l5)/(l2)", "(l4)/(l2)"],
-    }
+    assert _rendered(P) == EXPECTED["selberg projection"]
 
 
 def test_projection_entry_lookup():
     P = projection_matrix(T_TRIPLE, Weights.generic(4))
-    assert render_scalar(P.entry((2, 3), (3, 4))) == "(l2)/(l1 + l2 + l3)"
+    assert render_scalar(P.entry((2, 3), (3, 4))) == EXPECTED["projection triple-point"][0][1]
     with pytest.raises(ValueError):
         P.entry((1, 2), (2, 4))
 
@@ -652,10 +637,10 @@ def test_frame_column_off_the_pivots_raises_span_defect(monkeypatch):
 
 def test_per_type_caches_stay_within_their_bound():
     from gmarr import arrangement, orlik_solomon
-    from gmarr.arrangement import TYPE_CACHE_SIZE, bases_and_circuits, flats_and_dense_edges
+    from gmarr.arrangement import TYPE_CACHE_SIZE, affine_circuits, flats_and_dense_edges
 
     caches = [v for v in vars(arrangement).values() if callable(getattr(v, "cache_info", None))]
-    assert len(caches) == 8
+    assert len(caches) == 7
     rng = random.Random(53)
     types = []
     while len(types) < TYPE_CACHE_SIZE + 3:
@@ -665,7 +650,7 @@ def test_per_type_caches_stay_within_their_bound():
 
     def results(T):
         w = Weights.generic(T.n)
-        return (bases_and_circuits(T), flats_and_dense_edges(T), nbc_sets(T, 1),
+        return (affine_circuits(T), flats_and_dense_edges(T), nbc_sets(T, 1),
                 projection_matrix(T, w), a_lambda_matrix(T, w, 1))
 
     first = results(types[0])
