@@ -2,17 +2,22 @@
 
 Bareiss elimination (Math. Comp. 22, 1968): every intermediate entry is a
 minor of the input matrix, and each step divides exactly by the previous
-pivot, so entries stay in the domain.  Back-substitution is fraction-free
-too (Nakos–Turner–Williams, SIGSAM Bull. 31(3), 1997): with d the last
-pivot, the determinant of the pivot block, d·X is a domain matrix by
-Cramer's rule, and each of its entries is an exact quotient by the pivot of
-its row.  ``solve_all`` returns N = d·X with d, so no fraction or rational
-function is built here.  Three domains meet the one routine:
+pivot, so entries stay in the domain.  ``fraction_free_echelon`` reports the
+input index of each output row, so a row left below the pivots can be read
+by Sylvester's identity: its entry in a column beyond the pivoting ones is
+d' times the Schur complement of the pivot block there, d' the last pivot.
+``orlik_solomon.projection_matrix`` reads the projection off those rows.
+``solve_all`` back-substitutes fraction-free (Nakos–Turner–Williams, SIGSAM
+Bull. 31(3), 1997): with d the last pivot, the determinant of the pivot
+block, d·X is a domain matrix by Cramer's rule, and each of its entries is
+an exact quotient by the pivot of its row; it returns N = d·X with d, so no
+fraction or rational function is built here.  Three domains meet the one
+routine:
 
-* ``Fraction`` systems: ``solve_all`` scales each row by the lcm of its
-  denominators and eliminates over Python ``int``; the scaling changes
-  neither the nonzero pattern the pivots are chosen from nor the solutions,
-  and N and d come back as ``int``.
+* ``Fraction`` systems are scaled row by row to Python ``int`` rows by the
+  lcm of their denominators (``_integer_row``); the scaling changes neither
+  the nonzero pattern the pivots are chosen from nor the solutions, and N
+  and d come back as ``int``.
 * ``MultiPoly`` systems, divided exactly by ``poly_exact_div``, with
   ``int`` coefficients wherever they are integral.  On the ladder
   degenerations every entry and pivot is a single term, so the division
@@ -49,11 +54,12 @@ def _exact_div(a, b):
 
 
 class EchelonResult:
-    __slots__ = ("rows", "pivots")
+    __slots__ = ("rows", "pivots", "order")
 
-    def __init__(self, rows, pivots):
+    def __init__(self, rows, pivots, order):
         self.rows = rows          # echelon form, Bareiss-scaled
         self.pivots = pivots      # list of (row, col)
+        self.order = order        # input index of each output row
 
     @property
     def rank(self) -> int:
@@ -66,6 +72,7 @@ def fraction_free_echelon(matrix: Sequence[Sequence], ncols: int | None = None) 
     column."""
     m = [list(row) for row in matrix]
     nr = len(m)
+    order = list(range(nr))
     width = len(m[0]) if nr else 0
     if ncols is None:
         ncols = width
@@ -78,6 +85,7 @@ def fraction_free_echelon(matrix: Sequence[Sequence], ncols: int | None = None) 
             continue
         if piv != pr:
             m[pr], m[piv] = m[piv], m[pr]
+            order[pr], order[piv] = order[piv], order[pr]
         prow = m[pr]
         p = prow[c]
         for i in range(pr + 1, nr):
@@ -101,7 +109,7 @@ def fraction_free_echelon(matrix: Sequence[Sequence], ncols: int | None = None) 
         pr += 1
         if pr == nr:
             break
-    return EchelonResult(m, pivots)
+    return EchelonResult(m, pivots, order)
 
 
 class SolveResult:
@@ -116,10 +124,11 @@ class SolveResult:
         self.pivots = pivots            # pivot columns of A, ascending
 
 
-def _integer_row(row: list) -> list[int]:
-    """The row times the lcm of its denominators, as Python ints."""
+def _integer_row(row: list) -> tuple[int, list[int]]:
+    """The lcm of the row's denominators, and the row times it as Python
+    ints."""
     scale = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
+    return scale, [x.numerator * (scale // x.denominator) for x in row]
 
 
 def solve_all(A: Sequence[Sequence], B: Sequence[Sequence]) -> SolveResult:
@@ -137,7 +146,7 @@ def solve_all(A: Sequence[Sequence], B: Sequence[Sequence]) -> SolveResult:
         return SolveResult(0, True, [])
     aug = [list(A[i]) + list(B[i]) for i in range(nr)]
     if all(isinstance(x, (int, Fraction)) for row in aug for x in row):
-        aug = [_integer_row(row) for row in aug]
+        aug = [_integer_row(row)[1] for row in aug]
     ech = fraction_free_echelon(aug, ncols=k)
     pivots = tuple(c for _, c in ech.pivots)
     # rows below the last pivot have an all-zero A part; any nonzero B part

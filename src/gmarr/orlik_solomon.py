@@ -17,6 +17,7 @@ concrete ones; the projection matrix is kept over one common denominator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -33,8 +34,8 @@ from .arrangement import (
     nbc_sets,
     stv_check,
 )
-from .exact import quotient
-from .linalg import solve_all
+from .exact import poly_exact_div, poly_gcd, quotient
+from .linalg import _integer_row, fraction_free_echelon
 
 
 class ResonantWeights(ValueError):
@@ -264,7 +265,10 @@ class ProjectionMatrix:
     ``entries[i][j]``, built on first use, is the coefficient of the class
     of the image of col_basis[j]'s monomial in the image of the source class
     labelled by row_basis[i]; rows labelled by a frame that is itself in the
-    column basis are standard unit vectors (d times them in N).
+    column basis are standard unit vectors (d times them in N).  From
+    ``projection_matrix``, d = d'·lcm_B(λ_B), d' the last Bareiss pivot of
+    the coboundary columns (see there); N and d are ``int`` for concrete
+    weights.
     """
 
     row_basis: tuple[tuple[int, ...], ...]
@@ -300,54 +304,81 @@ def projection_matrix(T: CombinatorialType, w: Weights) -> ProjectionMatrix:
     frames of the target; the row stores (c_B)_B.  This is the display
     convention of the worked examples.
 
-    A source that is a target frame is its own column of the system, so its
-    row of N is d times that frame's unit vector, unsolved; the other rows
-    are the numerators of one fraction-free solve over its last pivot d.
-    Unless every frame column is a pivot column (the frames independent
-    modulo coboundaries), SpanDefect is raised.
+    A frame B is an nbc set, so its image is λ_B times the unit vector of
+    its own row.  So the system has no frame columns: its rows are the nbc
+    ℓ-sets, non-frame ones first, and its columns the coboundaries a_λ∧a_S,
+    the only pivot columns, then the images of the non-frame sources.  By
+    Sylvester's identity, after one Bareiss elimination each frame row holds
+    d'·λ_B·c_B, d' the last pivot, and P is read off those rows with no
+    back-substitution; a source that is a frame gets d times its unit
+    vector.  SpanDefect is raised when a frame's image is not a nonzero
+    multiple of its own monomial, when a frame is listed twice or its row
+    takes a pivot (the frames dependent modulo coboundaries), and when the
+    coboundaries miss a non-frame row.
     """
     if w.n != T.n:
         raise ValueError(f"weights are for n={w.n}, type has n={T.n}")
+    ell = T.ell
+    sources = _general_basis(T.n, ell)  # refuses an oversized basis first
     if not w.is_generic:
         report = stv_check(T, w)
         if not report.ok:
             raise ResonantWeights(report)
-    ell = T.ell
-    top = nbc_sets(T, ell)
-    top_index = {S: i for i, S in enumerate(top)}
     betas = betanbc_frames(T)
-    dmat = a_lambda_matrix(T, w, ell - 1)
-    ncols_d = len(nbc_sets(T, ell - 1))
-    zero = w.zero_scalar()
+    if twice := [B for k, B in enumerate(betas) if B in betas[:k]]:
+        raise SpanDefect(len(twice), f"the images of the frames {twice} are "
+                         f"dependent modulo coboundaries in degree {ell}")
+    images = [_eta_image(B, T, w).coeffs for B in betas]
+    if bad := [B for B, image in zip(betas, images) if set(image) != {B}]:
+        raise SpanDefect(len(bad), f"the images of the frames {bad} are not nonzero "
+                         f"multiples of their own monomials in degree {ell}")
 
-    system = [list(dmat[r]) for r in range(len(top))]
-    for B in betas:
-        vb = _eta_image(B, T, w)
-        for r, S in enumerate(top):
-            system[r].append(vb.coeffs.get(S, zero))
-
-    sources = _general_basis(T.n, ell)
     frame_set = set(betas)
     solved = [I for I in sources if I not in frame_set]
-    rhs = [[zero for _ in solved] for _ in top]
-    for cidx, I in enumerate(solved):
+    top = nbc_sets(T, ell)
+    ncols_d = len(nbc_sets(T, ell - 1))
+    zero = w.zero_scalar()
+    dmat = a_lambda_matrix(T, w, ell - 1)
+    by_label = {S: list(r) + [zero] * len(solved) for S, r in zip(top, dmat)}
+    for cidx, I in enumerate(solved, ncols_d):
         for S, c in _eta_image(I, T, w).coeffs.items():
-            rhs[top_index[S]][cidx] = c
+            by_label[S][cidx] = c
+    labels = [S for S in top if S not in frame_set] + list(betas)
+    free = len(top) - len(betas)  # the non-frame rows come first
+    system = [by_label[S] for S in labels]
+    factors = [image[B] for B, image in zip(betas, images)]
+    if not w.is_generic:
+        scaled = [_integer_row(row) for row in system]
+        system = [row for _, row in scaled]
+        factors = [f * scale for f, (scale, _) in zip(factors, scaled[free:])]
 
-    res = solve_all(system, rhs)
-    if res.rank < len(top) or not res.consistent:
-        defect = len(top) - res.rank
+    ech = fraction_free_echelon(system, ncols=ncols_d)
+    if dependent := sorted(i for i in ech.order[: ech.rank] if i >= free):
+        raise SpanDefect(len(dependent), f"the images of the frames "
+                         f"{[labels[i] for i in dependent]} are dependent modulo "
+                         f"coboundaries in degree {ell}")
+    if ech.rank < free:
+        defect = free - ech.rank
         raise SpanDefect(
             defect,
             f"basis images plus coboundaries span a subspace of codimension "
             f"{defect} in degree {ell} (resonant weights or broken input)",
         )
-    dependent = [B for c, B in enumerate(betas, ncols_d) if c not in res.pivots]
-    if dependent:
-        raise SpanDefect(len(dependent), f"the images of the frames {dependent} are "
-                         f"dependent modulo coboundaries in degree {ell}")
-    d = res.denominator
-    rows = dict(zip(solved, zip(*res.solution[ncols_d:])))
+
+    # frame B's row holds d'·f_B·c_B, f_B = λ_B times the row's integer scale;
+    # over d = d'·lcm_B(f_B) the numerators of c_B are that row times lcm/f_B
+    if w.is_generic:
+        lcm = w.one_scalar()
+        for f in factors:
+            lcm = lcm * poly_exact_div(f, poly_gcd(lcm, f))
+        mults = [poly_exact_div(lcm, f) for f in factors]
+    else:
+        lcm = math.lcm(*(f.numerator for f in factors))
+        mults = [lcm // f.numerator * f.denominator for f in factors]
+    d = (ech.rows[ech.rank - 1][ech.pivots[-1][1]] if ech.pivots else 1) * lcm
+    # no frame row took a pivot, so no row swap moved one: they end in order
+    cols = [[e * m for e in row[ncols_d:]] for row, m in zip(ech.rows[free:], mults)]
+    rows = {I: tuple(col[c] for col in cols) for c, I in enumerate(solved)}
     numerators = tuple(
         rows[I] if I in rows else tuple(d if B == I else d - d for B in betas)
         for I in sources

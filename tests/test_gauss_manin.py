@@ -580,8 +580,8 @@ def test_codim1_dimension_three_both_branches():
 
 
 def test_codim1_triple_point_gives_the_solved_omega():
-    # the closed form's denominator is λ_K, the solver's the last Bareiss
-    # pivot; both P must give the same Ω through solve_connection
+    # the closed form's denominator is λ_K, the solver's d'·lcm_B(λ_B); both
+    # P must give the same Ω through solve_connection
     rng = random.Random(79)
     for rows in (PATH_T1, PATH_T2, PATH_T3):
         p = _path(rows)

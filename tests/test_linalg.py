@@ -1,4 +1,5 @@
-"""solve_all and fraction_free_echelon against the Gauss-Jordan oracles.
+"""solve_all and fraction_free_echelon against the Gauss-Jordan oracles and
+cofactor minors.
 
 solve_all returns N = d·X over one common denominator d.  Fraction systems
 are eliminated over integer rows, so every check here also asserts that N
@@ -227,6 +228,56 @@ def test_echelon_rank_on_sparse_matrices(seed):
     rng = random.Random(300 + seed)
     M = _random_matrix(rng, 6, 7, density=0.3)
     assert fraction_free_echelon(M).rank == rref_rank(M)
+
+
+def _echelon_case(rng, kind):
+    """A sparse int, Fraction or MultiPoly matrix and the number of columns
+    to pivot on.  Those columns have rank at most ``inner`` < rows, so rows
+    remain below the pivots; the columns after them are dense."""
+    if kind == "multipoly":
+        l1, l2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
+        dense = lambda: rng.randint(-3, 3) * l1 + rng.randint(-3, 3) * l2 + rng.randint(1, 3)
+    elif kind == "int":
+        dense = lambda: rng.randint(1, 9) * rng.choice((-1, 1))
+    else:
+        dense = lambda: _random_entry(rng, 1.0) or Fraction(1, 101)
+    entry = lambda: dense() if rng.random() < 0.5 else 0 * dense()
+    rows, ncols, tail = rng.randint(3, 6), rng.randint(1, 4), rng.randint(1, 3)
+    inner = rng.randint(1, min(rows - 1, ncols))
+    left = [[entry() for _ in range(inner)] for _ in range(rows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(inner)]
+    zero = 0 * dense()
+    return [
+        [sum((a * right[s][j] for s, a in enumerate(row)), zero) for j in range(ncols)]
+        + [dense() for _ in range(tail)]
+        for row in left
+    ], ncols
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "multipoly"])
+@pytest.mark.parametrize("seed", range(8))
+def test_echelon_reports_the_input_row_of_each_output_row(kind, seed):
+    """``order`` is a permutation; below the rank every row is zero on the
+    pivoting columns, and by Sylvester's identity each of its other entries
+    is the minor of the pivot rows and that row's input row on the pivot
+    columns and its own, the last pivot that minor without the border."""
+    M, ncols = _echelon_case(random.Random(400 + seed), kind)
+    ech = fraction_free_echelon(M, ncols)
+    assert sorted(ech.order) == list(range(len(M)))
+    point = [Fraction(31, 7), Fraction(-53, 11)]
+    pivoting = [[evaluate(x, point) if kind == "multipoly" else Fraction(x) for x in row[:ncols]]
+                for row in M]
+    assert ech.rank == rref_rank(pivoting)
+    pcols = [c for _, c in ech.pivots]
+    above = [M[i] for i in ech.order[: ech.rank]]
+    if pcols:
+        assert ech.rows[ech.rank - 1][pcols[-1]] == cofactor_det([[x[c] for c in pcols] for x in above])
+    for pos in range(ech.rank, len(M)):
+        row = ech.rows[pos]
+        assert not any(row[:ncols])
+        for j in range(ncols, len(row)):
+            block = [[x[c] for c in pcols + [j]] for x in above + [M[ech.order[pos]]]]
+            assert row[j] == cofactor_det(block), (pos, j)
 
 
 def test_integer_exact_division():

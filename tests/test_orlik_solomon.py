@@ -527,7 +527,7 @@ def test_span_defect_attributes():
 
 
 # ---------------------------------------------------------------------------
-# frame rows are unit vectors, the other rows are solved
+# frame rows are unit vectors, the other rows are read off the elimination
 # ---------------------------------------------------------------------------
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -574,6 +574,7 @@ def _check_rows_against_oracle(where, r, vals):
     P = projection_matrix(T, Weights.concrete(vals))
     frames, rows = projection_oracle(r, vals)
     assert P.col_basis == frames, where
+    assert all(type(x) is int for row in P.numerators for x in row + (P.denominator,)), where
     for I, row in zip(P.row_basis, P.entries):
         assert all(type(x) is Fraction for x in row), (where, I)
         if I in frames:
@@ -595,7 +596,7 @@ def test_projection_frame_rows_are_unit_vectors_on_fixtures():
 
 def test_projection_frame_rows_are_unit_vectors_on_ladder_paths():
     rng = random.Random(47)
-    for rung in ((5, 2, 3), (6, 2, 3), (5, 3, 2)):
+    for rung in ((5, 2, 3), (6, 2, 3), (5, 3, 2), (6, 3, 2), (7, 3, 3), (8, 2, 3)):
         r = _ladder_realization(rng, *rung)
         _check_rows_against_oracle(rung, r, random_nonresonant_weights(rng, compute_type(r)))
 
@@ -628,6 +629,73 @@ def test_frame_column_off_the_pivots_raises_span_defect(monkeypatch):
         with pytest.raises(SpanDefect, match="dependent modulo coboundaries") as exc:
             projection_matrix(T_TRIPLE, w)
         assert exc.value.defect == 1
+
+
+def test_coboundary_on_one_frame_row_raises_span_defect(monkeypatch):
+    # one coboundary column replaced by a frame's unit vector: the non-frame
+    # rows keep full rank, so only that frame's row can take the pivot
+    from gmarr import orlik_solomon
+
+    T = T_SELBERG
+    frame = betanbc_frames(T)[0]
+    top = nbc_sets(T, T.ell)
+    free = [i for i, S in enumerate(top) if S not in betanbc_frames(T)]
+    concrete = Weights.concrete(random_nonresonant_weights(random.Random(59), T))
+    D = a_lambda_matrix(T, concrete, T.ell - 1)
+    col = next(
+        c for c in range(len(D[0]))
+        if rref_rank([D[i][:c] + D[i][c + 1:] for i in free]) == len(free)
+    )
+    real = orlik_solomon.a_lambda_matrix
+
+    def faulty(T, w, q):
+        m = real(T, w, q)
+        for i, S in enumerate(top):
+            m[i][col] = w.one_scalar() if S == frame else w.zero_scalar()
+        return m
+
+    monkeypatch.setattr(orlik_solomon, "a_lambda_matrix", faulty)
+    for w in (Weights.generic(T.n), concrete):
+        with pytest.raises(SpanDefect, match="dependent modulo coboundaries") as exc:
+            projection_matrix(T, w)
+        assert exc.value.defect == 1
+        assert f"frames {[frame]} are" in str(exc.value)
+
+
+def test_projection_is_one_elimination_over_the_coboundary_columns(monkeypatch):
+    # no frame columns and no second elimination (a back-substitution or a
+    # solve for the frame rows would show here)
+    from gmarr import linalg, orlik_solomon
+
+    T = compute_type(_ladder_realization(random.Random(61), 8, 3, 3))
+    frames = betanbc_frames(T)
+    sources = [I for I in itertools.combinations(range(2, T.n + 1), T.ell) if I not in frames]
+    coboundaries = len(nbc_sets(T, T.ell - 1))
+    real = linalg.fraction_free_echelon
+    calls = []
+
+    def spy(matrix, ncols=None):
+        calls.append((len(matrix), {len(row) for row in matrix}, ncols))
+        return real(matrix, ncols)
+
+    monkeypatch.setattr(linalg, "fraction_free_echelon", spy)
+    monkeypatch.setattr(orlik_solomon, "fraction_free_echelon", spy)
+    for w in (Weights.generic(T.n), Weights.concrete(random_nonresonant_weights(random.Random(67), T))):
+        calls.clear()
+        projection_matrix(T, w)
+        assert calls == [(len(nbc_sets(T, T.ell)), {coboundaries + len(sources)}, coboundaries)]
+
+
+def test_projection_refuses_an_oversized_basis_before_building_the_system(monkeypatch):
+    from gmarr import orlik_solomon
+
+    def unreachable(*args):
+        raise AssertionError("the projection system was built")
+
+    for name in ("nbc_sets", "a_lambda_matrix", "_eta_image"):
+        monkeypatch.setattr(orlik_solomon, name, unreachable)
+    with pytest.raises(ValueError, match="over the limit"):
+        projection_matrix(general_position_type(34, 2), Weights.generic(34))
 
 
 # ---------------------------------------------------------------------------
