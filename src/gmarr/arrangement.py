@@ -61,9 +61,15 @@ def _det_small(rows: list[list]) -> object:
 
 
 class Realization:
-    """n ordered affine hyperplanes in C^ℓ, rational or one-parameter."""
+    """n ordered affine hyperplanes in C^ℓ, rational or one-parameter.
 
-    __slots__ = ("n", "ell", "rows", "is_path")
+    ``rows`` is set once in ``__init__``; nothing in this package reassigns
+    it.  ``type_at`` memoizes the type of a specialization on the instance,
+    and an entry is used only while ``rows`` is the object it was computed
+    from.
+    """
+
+    __slots__ = ("n", "ell", "rows", "is_path", "_types")
 
     def __init__(self, rows: Sequence[Sequence], *, allow_coincident: bool = False):
         rows = [list(r) for r in rows]
@@ -83,6 +89,7 @@ class Realization:
 
         self.rows = tuple(tuple(lift(e) for e in r) for r in rows)
         self.is_path = is_path
+        self._types = None
         self._validate(allow_coincident)
 
     # -- validation --------------------------------------------------------
@@ -155,6 +162,18 @@ class Realization:
         rows = [[e.evaluate(t) for e in r] for r in self.rows]
         return Realization(rows, allow_coincident=allow_coincident)
 
+    def type_at(self, t, *, allow_coincident: bool = False) -> "CombinatorialType":
+        """``compute_type(self.specialize(t, allow_coincident=...))``, computed
+        at most once per ``(t, allow_coincident)`` for the current rows."""
+        key = (_as_fraction(t), allow_coincident)
+        if self._types is None:
+            self._types = {}
+        rows, T = self._types.get(key, (None, None))
+        if rows is not self.rows:
+            T = compute_type(self.specialize(t, allow_coincident=allow_coincident))
+            self._types[key] = (self.rows, T)
+        return T
+
 
 class CombinatorialType:
     """(n, ℓ, dep): which (ℓ+1)-subsets of the projective closure degenerate."""
@@ -189,9 +208,6 @@ class CombinatorialType:
     def normal_position(self) -> bool:
         I0 = tuple(range(1, self.ell + 1)) + (self.n + 1,)
         return I0 not in self.dep
-
-    def is_general_position(self) -> bool:
-        return not self.dep
 
     def __eq__(self, other):
         if not isinstance(other, CombinatorialType):

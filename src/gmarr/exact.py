@@ -699,7 +699,8 @@ class PathPoly(MultiPoly):
         return super().evaluate((t,))
 
     def ord_t(self) -> int | None:
-        """Lowest power of t with a nonzero coefficient; None for zero."""
+        """Order of vanishing at t = 0: the lowest power of t with a nonzero
+        coefficient; None for zero."""
         return min((k for (k,) in self.terms), default=None)
 
     def render(self) -> str:
@@ -710,11 +711,6 @@ class PathPoly(MultiPoly):
         return _render_terms((mono(k), self.terms[(k,)]) for (k,) in sorted(self.terms))
 
     __str__ = render
-
-
-def ord_t(p: PathPoly) -> int | None:
-    """Order of vanishing at t = 0; None when p is identically zero."""
-    return p.ord_t()
 
 
 # --------------------------------------------------------------------------

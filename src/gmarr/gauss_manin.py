@@ -25,7 +25,6 @@ from .arrangement import (
     RealizationError,
     Weights,
     betanbc_frames,
-    compute_type,
     stv_check,
 )
 from .exact import _as_fraction, quotient
@@ -40,7 +39,7 @@ COVER_CAVEAT = (
 
 
 # Limit on (bits of the witness's numerator or denominator) × (highest power
-# of t in the rows).  Seven rows of degree 1000 take about 2 s to specialise
+# of t in the rows).  Seven rows of degree 1000 take about 1.5 s to specialise
 # and type at a 65-bit witness, and minutes at 2^20.
 MAX_WITNESS_BITS = 2**16
 
@@ -76,7 +75,9 @@ class DegenerationPath:
     """A validated one-parameter family connecting T (at the witness) to the
     degenerate type T' (at t = 0).
 
-    Declared types, when supplied, are checked against the recomputed ones;
+    Both types come from ``realization.type_at``, so they are computed once
+    and kept on the realization for ``multiplicities`` to check against.
+    Declared types, when supplied, are checked against the computed ones;
     mismatches are reported with the offending subsets.
     """
 
@@ -100,12 +101,10 @@ class DegenerationPath:
             raise PathError(f"t_witness has {bits}-bit numerator or denominator and "
                             f"the rows carry t^{degree}: over the limit {MAX_WITNESS_BITS}")
         try:
-            at_witness = realization.specialize(t_star)
+            T = realization.type_at(t_star)
         except RealizationError as e:
             raise PathError(f"path is degenerate at the witness t = {t_star}: {e}") from e
-        T = compute_type(at_witness)
-        at_zero = realization.specialize(0, allow_coincident=True)
-        Tprime = compute_type(at_zero)
+        Tprime = realization.type_at(0, allow_coincident=True)
         if declared_T is not None and declared_T != T:
             raise PathError(_declared_mismatch("T at the witness", declared_T, T))
         if declared_Tprime is not None and declared_Tprime != Tprime:
@@ -146,10 +145,12 @@ class MultiplicityTable:
 def multiplicities(p: DegenerationPath) -> MultiplicityTable:
     """m_J = order of vanishing at t = 0 of the J-minor along the path.
 
-    The endpoint types are recomputed from the rows rather than trusted, so
-    a path object whose stored types were tampered with is rejected here;
-    the per-minor checks run first so a claimed newly-dependent subset whose
-    minor never vanishes, or never varies, gets the specific diagnostic.
+    The stored endpoint types are not trusted: they are compared with
+    ``p.realization.type_at`` at the witness and at 0, which types the
+    current rows (once per realization), so a path object whose stored types
+    were tampered with is rejected here.  The per-minor checks run first so a
+    claimed newly-dependent subset whose minor never vanishes, or never
+    varies, gets the specific diagnostic.
     """
     rel = relative_dep(p.T, p.Tprime)
     items = []
@@ -167,8 +168,8 @@ def multiplicities(p: DegenerationPath) -> MultiplicityTable:
                 "realize the degenerate type"
             )
         items.append((J, order))
-    t_w = compute_type(p.realization.specialize(p.t_witness))
-    t_0 = compute_type(p.realization.specialize(0, allow_coincident=True))
+    t_w = p.realization.type_at(p.t_witness)
+    t_0 = p.realization.type_at(0, allow_coincident=True)
     if t_w != p.T or t_0 != p.Tprime:
         raise PathError(
             "stored endpoint types do not match a recomputation from the rows"

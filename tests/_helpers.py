@@ -32,8 +32,11 @@ def cofactor_det(m):
 
 
 def rref(matrix):
-    """Gauss-Jordan over Fraction; returns (reduced rows, pivot columns)."""
-    M = [list(row) for row in matrix]
+    """Gauss-Jordan over Fraction; returns (reduced rows, pivot columns).
+
+    ``int`` entries are lifted to ``Fraction`` first, so an integer matrix is
+    not divided in floats."""
+    M = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in matrix]
     rows = len(M)
     cols = len(M[0]) if M else 0
     pivots = []
@@ -418,6 +421,29 @@ def random_realization(rng: random.Random, n: int, ell: int) -> Realization:
         except ValueError:
             continue
         return r
+
+
+def ladder_path(rng: random.Random, n: int, ell: int, k: int):
+    """A ladder path with witness t = 1: k hyperplanes u_ell = c*t
+    (c = 0, 2, 3, ...) that meet at t = 0, and n - k fixed ones with entries
+    in ±[1, 9]."""
+    from gmarr.exact import PathPoly
+    from gmarr.gauss_manin import DegenerationPath, PathError
+
+    while True:
+        positions = set(rng.sample(range(n), k))
+        cs = iter([0] + list(range(2, k + 1)))
+        rows = []
+        for i in range(n):
+            if i in positions:
+                row = [PathPoly([0, -next(cs)])] + [PathPoly()] * (ell - 1) + [PathPoly([1])]
+            else:
+                row = [PathPoly([rng.choice((-1, 1)) * rng.randint(1, 9)]) for _ in range(ell + 1)]
+            rows.append(row)
+        try:
+            return DegenerationPath(Realization(rows), 1)
+        except (PathError, RealizationError):
+            continue
 
 
 def random_nonresonant_weights(rng: random.Random, T) -> list[Fraction]:

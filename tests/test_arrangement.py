@@ -159,7 +159,6 @@ def test_selberg_type():
 def test_general_position_type():
     G = general_position_type(4, 2)
     assert G.dep == frozenset()
-    assert G.is_general_position()
 
 
 def test_compute_type_rejects_paths():

@@ -12,7 +12,6 @@ from gmarr.exact import (
     PathPoly,
     RatFunc,
     evaluate,
-    ord_t,
     parse_path_poly,
     parse_rational,
     poly_exact_div,
@@ -163,9 +162,9 @@ def test_ratfunc_field_arithmetic():
 
 def test_ord_t_examples():
     p = PathPoly((0, 0, 3, 1))  # 3t^2 + t^3
-    assert ord_t(p) == 2
-    assert ord_t(PathPoly.const(5)) == 0
-    assert ord_t(PathPoly()) is None
+    assert p.ord_t() == 2
+    assert PathPoly.const(5).ord_t() == 0
+    assert PathPoly().ord_t() is None
 
 
 def test_path_poly_render_and_parse_round_trip():
@@ -331,9 +330,9 @@ def path_polys(draw, max_deg=4):
 @settings(max_examples=60, deadline=None)
 def test_ord_t_additive(p, q):
     if p.is_zero() or q.is_zero():
-        assert ord_t(p * q) is None
+        assert (p * q).ord_t() is None
     else:
-        assert ord_t(p * q) == ord_t(p) + ord_t(q)
+        assert (p * q).ord_t() == p.ord_t() + q.ord_t()
 
 
 @given(path_polys(), path_polys(), _coeffs)

@@ -40,7 +40,7 @@ from gmarr.exact import PathPoly, parse_path_poly
 from gmarr.linalg import mat_mul
 from gmarr.reference import EXAMPLES, EXPECTED, render_scalar
 
-from _helpers import cofactor_det, random_nonresonant_weights
+from _helpers import cofactor_det, ladder_path, random_nonresonant_weights
 
 
 def path_rows(rows):
@@ -297,6 +297,47 @@ def test_multiplicities_recompute_endpoint_types():
         multiplicities(_tampered(p, Tprime=fake))
 
 
+WORKED_PATHS = [name for name in EXAMPLES if "t_witness" in EXAMPLES[name]]
+
+
+def test_connection_types_each_endpoint_once(monkeypatch):
+    from gmarr import arrangement, gauss_manin
+
+    real = arrangement.compute_type
+    calls = []
+
+    def counted(r):
+        calls.append(r)
+        return real(r)
+
+    # count calls made through either module's name for it
+    monkeypatch.setattr(arrangement, "compute_type", counted)
+    monkeypatch.setattr(gauss_manin, "compute_type", counted, raising=False)
+    for rows in (path_rows(PATH_SELBERG).rows, ladder_path(random.Random(5), 7, 3, 2).realization.rows):
+        calls.clear()
+        connection_for_path(DegenerationPath(Realization(rows), 1))
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", WORKED_PATHS)
+def test_type_at_matches_compute_type(name):
+    ex = EXAMPLES[name]
+    p = _path(ex["rows"], ex["t_witness"])
+    r = p.realization
+    assert r.type_at(p.t_witness) == compute_type(r.specialize(p.t_witness)) == p.T
+    at_zero = compute_type(r.specialize(0, allow_coincident=True))
+    assert r.type_at(0, allow_coincident=True) == at_zero == p.Tprime
+
+
+def test_type_at_follows_replaced_rows():
+    r = _path(PATH_T1).realization
+    other = _path(PATH_T3).realization
+    assert r.type_at(0, allow_coincident=True) != other.type_at(0, allow_coincident=True)
+    r.rows = other.rows
+    assert r.type_at(1) == other.type_at(1)
+    assert r.type_at(0, allow_coincident=True) == other.type_at(0, allow_coincident=True)
+
+
 # ---------------------------------------------------------------------------
 # the combined matrix
 # ---------------------------------------------------------------------------
@@ -428,17 +469,19 @@ def test_connection_equation_holds_concrete():
 
 
 def test_connection_symbolic_evaluates_to_concrete():
-    rng = random.Random(71)
-    p = _path(PATH_SELBERG)
-    sym, _ = connection_for_path(p)
-    for _ in range(3):
-        vals = random_nonresonant_weights(rng, p.T)
-        num, _ = connection_for_path(p, Weights.concrete(vals))
-        from gmarr.exact import evaluate
+    from gmarr.exact import evaluate
 
-        for rs, rn in zip(sym.entries, num.entries):
-            for s, c in zip(rs, rn):
-                assert evaluate(s, vals) == Fraction(c)
+    rng = random.Random(71)
+    cases = [(_path(PATH_SELBERG), 3)]
+    cases += [(ladder_path(random.Random(73), n, 3, 2), 2) for n in (6, 7)]
+    for p, draws in cases:
+        sym, _ = connection_for_path(p)
+        for _ in range(draws):
+            vals = random_nonresonant_weights(rng, p.T)
+            num, _ = connection_for_path(p, Weights.concrete(vals))
+            for rs, rn in zip(sym.entries, num.entries):
+                for s, c in zip(rs, rn):
+                    assert evaluate(s, vals) == Fraction(c)
 
 
 def test_corrupted_multiplicity_detected_or_differs():

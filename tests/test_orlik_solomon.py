@@ -36,6 +36,7 @@ from gmarr.reference import EXAMPLES, EXPECTED, render_scalar
 
 from _helpers import (
     QuotientOracle,
+    ladder_path,
     projection_oracle,
     random_nonresonant_weights,
     random_realization,
@@ -545,30 +546,6 @@ def _fixture_realizations():
             yield f.name, parse_arrangement_file(f.read_bytes())[0]
 
 
-def _ladder_realization(rng, n, ell, k):
-    """A ladder path at its witness t = 1: k hyperplanes u_ell = c*t
-    (c = 0, 2, 3, ...) that meet at t = 0, and n - k fixed ones with entries
-    in ±[1, 9]."""
-    from gmarr import DegenerationPath, PathError, Realization, RealizationError
-    from gmarr.exact import PathPoly
-
-    while True:
-        positions = set(rng.sample(range(n), k))
-        cs = iter([0] + list(range(2, k + 1)))
-        rows = []
-        for i in range(n):
-            if i in positions:
-                row = [PathPoly([0, -next(cs)])] + [PathPoly()] * (ell - 1) + [PathPoly([1])]
-            else:
-                row = [PathPoly([rng.choice((-1, 1)) * rng.randint(1, 9)]) for _ in range(ell + 1)]
-            rows.append(row)
-        try:
-            path = DegenerationPath(Realization(rows), 1)
-        except (PathError, RealizationError):
-            continue
-        return path.realization.specialize(1)
-
-
 def _check_rows_against_oracle(where, r, vals):
     T = compute_type(r)
     P = projection_matrix(T, Weights.concrete(vals))
@@ -597,7 +574,7 @@ def test_projection_frame_rows_are_unit_vectors_on_fixtures():
 def test_projection_frame_rows_are_unit_vectors_on_ladder_paths():
     rng = random.Random(47)
     for rung in ((5, 2, 3), (6, 2, 3), (5, 3, 2), (6, 3, 2), (7, 3, 3), (8, 2, 3)):
-        r = _ladder_realization(rng, *rung)
+        r = ladder_path(rng, *rung).realization.specialize(1)
         _check_rows_against_oracle(rung, r, random_nonresonant_weights(rng, compute_type(r)))
 
 
@@ -667,7 +644,7 @@ def test_projection_is_one_elimination_over_the_coboundary_columns(monkeypatch):
     # solve for the frame rows would show here)
     from gmarr import linalg, orlik_solomon
 
-    T = compute_type(_ladder_realization(random.Random(61), 8, 3, 3))
+    T = ladder_path(random.Random(61), 8, 3, 3).T
     frames = betanbc_frames(T)
     sources = [I for I in itertools.combinations(range(2, T.n + 1), T.ell) if I not in frames]
     coboundaries = len(nbc_sets(T, T.ell - 1))
