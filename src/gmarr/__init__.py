@@ -56,7 +56,6 @@ from .gauss_manin import (
     solve_connection,
 )
 from .orlik_solomon import (
-    OSElement,
     ProjectionMatrix,
     ResonantWeights,
     SpanDefect,
@@ -74,7 +73,6 @@ __all__ = [
     "InconsistentSystem",
     "MultiplicityTable",
     "NotMatroidal",
-    "OSElement",
     "PathError",
     "ProjectionMatrix",
     "Realization",

@@ -498,8 +498,9 @@ class Weights:
         return cls(n)
 
     @classmethod
-    def concrete(cls, values: Sequence) -> "Weights":
-        return cls(len(tuple(values)), tuple(values))
+    def concrete(cls, values: Iterable) -> "Weights":
+        values = tuple(values)  # once: a generator is spent after one pass
+        return cls(len(values), values)
 
     @property
     def is_generic(self) -> bool:

@@ -3,11 +3,16 @@
 Two value families cover every scalar that appears downstream:
 
 * :class:`fractions.Fraction`: plain exact rationals.
-* :class:`MultiPoly` and :class:`RatFunc`: sparse polynomials and reduced
-  rational functions in the symbolic weight variables ``l1 .. ln``.  The
-  weight of the hyperplane at infinity is never a stored variable; callers
-  substitute ``-(l1 + ... + ln)`` eagerly, so the variables stay
-  algebraically independent and gcd-based canonical forms are sound.
+* :class:`MultiPoly`: sparse polynomials in the symbolic weight variables
+  ``l1 .. ln``.  The weight of the hyperplane at infinity is never a stored
+  variable; callers substitute ``-(l1 + ... + ln)`` eagerly, so the
+  variables stay algebraically independent and gcd-based canonical forms
+  are sound.
+
+Every computation runs in the polynomial domain.  :class:`RatFunc`, the
+reduced quotient of two polynomials, is only the canonical output value that
+:func:`quotient` forms from a domain numerator and denominator: it compares,
+hashes, evaluates and renders, and has no field operators.
 
 :class:`PathPoly`, the polynomials in the deformation parameter ``t`` of
 one-parameter families, is the one-variable :class:`MultiPoly` in ``t``: it
@@ -515,7 +520,10 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 class RatFunc:
-    """Reduced rational function: gcd(num, den) = 1, den monic in graded-lex."""
+    """Reduced rational function: gcd(num, den) = 1, den monic in graded-lex.
+
+    An output value: it compares, hashes, evaluates and renders, but has no
+    arithmetic operators.  ``RatFunc(p)`` is the polynomial p over 1."""
 
     __slots__ = ("num", "den")
 
@@ -546,83 +554,8 @@ class RatFunc:
         self.num = num
         self.den = den
 
-    # -- helpers -----------------------------------------------------------
-
-    @classmethod
-    def const(cls, nvars: int, c) -> "RatFunc":
-        return cls(MultiPoly.const(nvars, c))
-
-    @classmethod
-    def variable(cls, nvars: int, j: int) -> "RatFunc":
-        return cls(MultiPoly.variable(nvars, j))
-
-    def _coerce(self, other) -> "RatFunc | None":
-        if isinstance(other, RatFunc):
-            if other.num.nvars != self.num.nvars:
-                raise ValueError("variable count mismatch")
-            return other
-        if isinstance(other, MultiPoly):
-            return RatFunc(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.const(self.num.nvars, other)
-        return None
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __bool__(self) -> bool:
         return not self.num.is_zero()
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den.terms == o.den.terms:
-            return RatFunc(self.num + o.num, self.den)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = RatFunc.__new__(RatFunc)
-        out.num, out.den = -self.num, self.den
-        return out
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):

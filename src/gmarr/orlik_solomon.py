@@ -1,15 +1,17 @@
 """The graded algebra of an arrangement in its no-broken-circuit basis.
 
-Degree-q elements are rational combinations of monomials a_S over sorted
-q-subsets of [n]; the defining relations are
+Degree-q elements are combinations of monomials a_S over sorted q-subsets
+of [n]; the defining relations are
 
   * a_S = 0 whenever S is affinely dependent, and
   * Σ_k (−1)^k a_{C∖{c_k}} = 0 for every affine circuit C = {c_0 < … < c_q},
 
 so every element rewrites uniquely onto the monomials indexed by nbc sets
-(*straightening*).  On top of that sit the twisted differential a_λ∧·, the
-cocycles ζ(B) attached to betanbc frames, and the projection matrix carrying
-the general-position top cohomology basis onto the one of a degenerate type.
+(*straightening*).  An element in that basis is a plain dict from nbc sets
+to nonzero coefficients.  On top of that sit the twisted differential a_λ∧·,
+the cocycles ζ(B) attached to betanbc frames, and the projection matrix
+carrying the general-position top cohomology basis onto the one of a
+degenerate type.
 
 Scalars follow the weight mode: MultiPoly for generic weights, Fraction for
 concrete ones; the projection matrix is kept over one common denominator.
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .aomoto_kita import _general_basis
 from .arrangement import (
@@ -65,54 +67,6 @@ def _shuffle_sign(left: Iterable[int], right: Iterable[int]) -> int:
             if a > b:
                 inversions += 1
     return -1 if inversions % 2 else 1
-
-
-class OSElement:
-    """Homogeneous element: map from nbc q-sets to scalar coefficients."""
-
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree: int, coeffs: Mapping[tuple[int, ...], object]):
-        self.degree = degree
-        self.coeffs = {S: c for S, c in coeffs.items() if c}
-
-    @classmethod
-    def zero(cls, degree: int) -> "OSElement":
-        return cls(degree, {})
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, OSElement):
-            return NotImplemented
-        return self.degree == other.degree and self.coeffs == other.coeffs
-
-    def __add__(self, other: "OSElement") -> "OSElement":
-        if self.degree != other.degree:
-            raise ValueError("cannot add elements of different degrees")
-        out = dict(self.coeffs)
-        for S, c in other.coeffs.items():
-            cur = out.get(S)
-            out[S] = c if cur is None else cur + c
-        return OSElement(self.degree, out)
-
-    def __neg__(self) -> "OSElement":
-        return OSElement(self.degree, {S: -c for S, c in self.coeffs.items()})
-
-    def __sub__(self, other: "OSElement") -> "OSElement":
-        return self + (-other)
-
-    def scale(self, c) -> "OSElement":
-        if not c:
-            return OSElement.zero(self.degree)
-        return OSElement(self.degree, {S: c * v for S, v in self.coeffs.items()})
-
-    def __repr__(self):
-        if not self.coeffs:
-            return f"OSElement({self.degree}, 0)"
-        parts = [f"{c!r}*a{S}" for S, c in sorted(self.coeffs.items())]
-        return " + ".join(parts)
 
 
 class _Straightener:
@@ -184,14 +138,15 @@ def _straightener(T: CombinatorialType) -> _Straightener:
     return eng
 
 
-def straighten(S: Iterable[int], T: CombinatorialType) -> OSElement:
-    """Expand the monomial a_S in the nbc basis (rational coefficients)."""
+def straighten(S: Iterable[int], T: CombinatorialType) -> dict[tuple[int, ...], int]:
+    """Expand the monomial a_S in the nbc basis: a fresh dict from nbc
+    |S|-sets to nonzero integer coefficients, empty when a_S = 0."""
     S = tuple(sorted(S))
     if len(set(S)) != len(S):
         raise ValueError(f"monomial index set {S} has repeats")
     if S and not (1 <= S[0] and S[-1] <= T.n):
         raise ValueError(f"monomial index set {S} out of range 1..{T.n}")
-    return OSElement(len(S), _straightener(T).rewrite(S))
+    return dict(_straightener(T).rewrite(S))
 
 
 def a_lambda_matrix(T: CombinatorialType, w: Weights, q: int):
@@ -233,8 +188,9 @@ def _wedge_front(S: tuple[int, ...], j: int, scalar, T, acc) -> None:
         acc[key] = term if cur is None else cur + term
 
 
-def zeta(B: Iterable[int], T: CombinatorialType, w: Weights) -> OSElement:
-    """Cocycle of a betanbc frame: ∧_p Σ {λ_i a_i : i in the flat of B[p:]}."""
+def zeta(B: Iterable[int], T: CombinatorialType, w: Weights) -> dict:
+    """Cocycle of a betanbc frame: ∧_p Σ {λ_i a_i : i in the flat of B[p:]},
+    as a dict from nbc ℓ-sets to nonzero weight-scalar coefficients."""
     B = tuple(B)
     if B not in betanbc_frames(T):
         raise ValueError(f"{B} is not a betanbc frame of this type")
@@ -254,7 +210,7 @@ def zeta(B: Iterable[int], T: CombinatorialType, w: Weights) -> OSElement:
                 scalar = c * (-lam if bigger % 2 else lam)
                 _wedge_front(S, i, scalar, T, nxt)
         acc = {k: v for k, v in nxt.items() if v}
-    return OSElement(T.ell, acc)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -285,13 +241,13 @@ class ProjectionMatrix:
         return self.entries[self.row_basis.index(I)][self.col_basis.index(B)]
 
 
-def _eta_image(I: tuple[int, ...], T: CombinatorialType, w: Weights) -> OSElement:
-    """λ_{i₁}⋯λ_{i_ℓ} · a_I, straightened in the target type."""
-    image = straighten(I, T)
+def _eta_image(I: tuple[int, ...], T: CombinatorialType, w: Weights) -> dict:
+    """λ_{i₁}⋯λ_{i_ℓ} · a_I, straightened in the target type; a zero
+    product is dropped, so a zero weight leaves its monomial out."""
     lam_prod = w.one_scalar()
     for i in I:
         lam_prod = lam_prod * w.weight(i)
-    return image.scale(lam_prod)
+    return {S: c for S, v in straighten(I, T).items() if (c := lam_prod * v)}
 
 
 def projection_matrix(T: CombinatorialType, w: Weights) -> ProjectionMatrix:
@@ -328,7 +284,7 @@ def projection_matrix(T: CombinatorialType, w: Weights) -> ProjectionMatrix:
     if twice := [B for k, B in enumerate(betas) if B in betas[:k]]:
         raise SpanDefect(len(twice), f"the images of the frames {twice} are "
                          f"dependent modulo coboundaries in degree {ell}")
-    images = [_eta_image(B, T, w).coeffs for B in betas]
+    images = [_eta_image(B, T, w) for B in betas]
     if bad := [B for B, image in zip(betas, images) if set(image) != {B}]:
         raise SpanDefect(len(bad), f"the images of the frames {bad} are not nonzero "
                          f"multiples of their own monomials in degree {ell}")
@@ -341,7 +297,7 @@ def projection_matrix(T: CombinatorialType, w: Weights) -> ProjectionMatrix:
     dmat = a_lambda_matrix(T, w, ell - 1)
     by_label = {S: list(r) + [zero] * len(solved) for S, r in zip(top, dmat)}
     for cidx, I in enumerate(solved, ncols_d):
-        for S, c in _eta_image(I, T, w).coeffs.items():
+        for S, c in _eta_image(I, T, w).items():
             by_label[S][cidx] = c
     labels = [S for S in top if S not in frame_set] + list(betas)
     free = len(top) - len(betas)  # the non-frame rows come first

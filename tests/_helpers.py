@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the package's own linear algebra:
 determinants are cofactor expansions, systems are solved by divide-and-pivot
-Gauss-Jordan over Fraction, ranks come from that elimination, and the graded
+Gauss-Jordan over Fraction, ranks come from that elimination, the graded
 quotient used to cross-check straightening/projection is rebuilt from raw
-monomial indicator vectors.
+monomial indicator vectors, and matrices of rational functions are
+multiplied and compared as unreduced (numerator, denominator) pairs with
+ring operations only (no gcd, no exact division).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import random
 from fractions import Fraction
 
 from gmarr.arrangement import Realization, RealizationError, compute_type
+from gmarr.exact import RatFunc
 
 
 def cofactor_det(m):
@@ -93,6 +96,52 @@ def perm_sign(word):
             if word[i] > word[j]:
                 sign = -sign
     return sign
+
+
+# ---------------------------------------------------------------------------
+# rational-function matrices as unreduced (numerator, denominator) pairs
+# ---------------------------------------------------------------------------
+
+
+def pair_matrix(entries):
+    """Entries as (numerator, denominator) pairs: a ``RatFunc`` gives its two
+    polynomials, any other scalar (int, Fraction, MultiPoly) is over 1."""
+    return [[(x.num, x.den) if isinstance(x, RatFunc) else (x, 1) for x in row] for row in entries]
+
+
+def pair_add(x, y):
+    """a/b + c/d = (ad + bc)/(bd), not reduced."""
+    (a, b), (c, d) = x, y
+    return a * d + c * b, b * d
+
+
+def pair_mul(A, B):
+    """A·B over (num, den) pairs, a/b·c/e = ac/(be); zero products are
+    skipped and nothing is reduced."""
+    out = []
+    for row in A:
+        out_row = []
+        for col in zip(*B):
+            acc = (0, 1)
+            for (a, b), (c, e) in zip(row, col):
+                if a and c:
+                    acc = pair_add(acc, (a * c, b * e))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def pair_eq(x, y) -> bool:
+    """a/b = c/d exactly when a·d = b·c."""
+    (a, b), (c, d) = x, y
+    return a * d == b * c
+
+
+def pair_matrices_eq(A, B) -> bool:
+    return len(A) == len(B) and all(
+        len(ra) == len(rb) and all(pair_eq(x, y) for x, y in zip(ra, rb))
+        for ra, rb in zip(A, B)
+    )
 
 
 # ---------------------------------------------------------------------------

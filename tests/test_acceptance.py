@@ -37,7 +37,14 @@ from gmarr import (
 from gmarr.exact import evaluate, parse_path_poly
 from gmarr.reference import EXAMPLES, EXPECTED, render_scalar
 
-from _helpers import random_nonresonant_weights, random_realization, rref_rank
+from _helpers import (
+    pair_matrices_eq,
+    pair_matrix,
+    pair_mul,
+    random_nonresonant_weights,
+    random_realization,
+    rref_rank,
+)
 
 # the degeneration paths among the worked examples of the golden source
 PATH_STEMS = [stem for stem, doc in EXAMPLES.items() if "t_witness" in doc]
@@ -229,17 +236,9 @@ def test_criterion_6_connection_equation_and_corruption():
         B = combined_omega(p.T, p.Tprime, mult, p.T.n, p.T.ell, w)
         P = projection_matrix(p.T, w)
         omega = solve_connection(P, B)
-        lhs = _matmul(
-            [list(r) for r in P.entries],
-            [list(r) for r in omega.entries],
-            w.zero_scalar(),
-        )
-        rhs = _matmul(
-            [list(r) for r in B.entries],
-            [list(r) for r in P.entries],
-            w.zero_scalar(),
-        )
-        assert lhs == rhs
+        # exact over unreduced (numerator, denominator) pairs
+        Pp, Bp, Op = (pair_matrix(m.entries) for m in (P, B, omega))
+        assert pair_matrices_eq(pair_mul(Pp, Op), pair_mul(Bp, Pp))
 
     # corrupting the doubled order must not go unnoticed
     p = example_path("selberg_path")

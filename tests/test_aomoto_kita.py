@@ -3,7 +3,9 @@
 The sign is pinned by hand-worked examples plus a symmetry property; the five
 worked matrices are compared with the golden values of ``gmarr.reference``;
 the four structural cases are
-checked on random inputs (support pattern, homogeneity, integrality).
+checked on random inputs (support pattern, homogeneity, integrality); and all
+blocks together are checked against an independent property, the flatness of
+the general-position connection they assemble into.
 """
 
 import itertools
@@ -16,6 +18,8 @@ from gmarr import ConnectionMatrix, Weights, epsilon, omega_general
 from gmarr.aomoto_kita import MAX_GENERAL_BASIS, _general_basis
 from gmarr.exact import MultiPoly
 from gmarr.reference import EXPECTED, render_scalar
+
+from _helpers import cofactor_det, pair_matrices_eq, pair_matrix, pair_mul
 
 
 # ---------------------------------------------------------------------------
@@ -255,3 +259,58 @@ def test_general_basis_size_limit():
     assert len(_general_basis(33, 2)) == 496
     with pytest.raises(ValueError, match="C\\(33, 2\\) = 528 frames"):
         _general_basis(34, 2)
+
+
+# ---------------------------------------------------------------------------
+# flatness: ω = Σ_J Ω_J·dlog Δ_J satisfies ω∧ω = 0
+# ---------------------------------------------------------------------------
+
+
+def _closure_point(rng, n, ell):
+    """Rational closure rows (row n+1 at infinity) with no vanishing maximal
+    minor Δ_J, and those minors."""
+    subsets = list(itertools.combinations(range(1, n + 2), ell + 1))
+    while True:
+        rows = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(ell + 1)]
+            for _ in range(n)
+        ] + [[Fraction(1)] + [Fraction(0)] * ell]
+        minors = {J: cofactor_det([rows[j - 1] for j in J]) for J in subsets}
+        if all(minors.values()):
+            return rows, minors
+
+
+def _coordinate_matrices(n, ell, rng):
+    """A_a = Σ_J (∂_aΔ_J/Δ_J)·Ω_J for every entry a of the finite rows, at a
+    rational point; the derivative of Δ_J by an entry of its row is the
+    signed cofactor of that entry."""
+    rows, minors = _closure_point(rng, n, ell)
+    blocks = {J: omega_general(J, n, ell).entries for J in minors}
+    k = len(blocks[next(iter(blocks))])
+    zero = MultiPoly.zero(n)
+    out = []
+    for i, c in itertools.product(range(1, n + 1), range(ell + 1)):
+        A = [[zero] * k for _ in range(k)]
+        for J, block in blocks.items():
+            if i not in J:
+                continue
+            r = J.index(i)
+            cofactor = [rows[j - 1][:c] + rows[j - 1][c + 1:] for j in J if j != i]
+            g = (-1) ** (r + c) * cofactor_det(cofactor) / minors[J]
+            if g:
+                A = [[x + g * y for x, y in zip(ra, rb)] for ra, rb in zip(A, block)]
+        out.append(A)
+    return out
+
+
+@pytest.mark.parametrize("n,ell", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 3)])
+def test_general_position_connection_is_flat(n, ell):
+    # the coefficient of da∧db in ω∧ω is the commutator [A_a, A_b]; the blocks
+    # keep symbolic weights, so every commutator must vanish identically
+    A = [pair_matrix(M) for M in _coordinate_matrices(n, ell, random.Random(100 * n + ell))]
+    bad = [
+        (a, b)
+        for a, b in itertools.combinations(range(len(A)), 2)
+        if not pair_matrices_eq(pair_mul(A[a], A[b]), pair_mul(A[b], A[a]))
+    ]
+    assert not bad, f"{len(bad)} of {len(A) * (len(A) - 1) // 2} commutators are nonzero"

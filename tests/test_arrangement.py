@@ -362,6 +362,12 @@ def test_weights_infinity_index():
         g.weight(6)
 
 
+def test_concrete_weights_from_a_generator():
+    w = Weights.concrete(F(k, 3) for k in (1, 2, 4))
+    assert w.n == 3 and w.values == (F(1, 3), F(2, 3), F(4, 3))
+    assert w.weight(4) == F(-7, 3)
+
+
 # ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def test_normalize_already_canonical():
 def test_normalize_zero_numerator():
     l1 = L(3, 1)
     f = RatFunc(MultiPoly.zero(3), l1)
-    assert f.is_zero()
+    assert not f and f.num.is_zero()
     assert f.den.is_one()
 
 
@@ -131,7 +131,7 @@ def test_evaluate_projection_entry():
 
 
 def test_evaluate_constant():
-    assert evaluate(RatFunc.const(4, 7), (0, 0, 0, 0)) == 7
+    assert evaluate(RatFunc(MultiPoly.const(4, 7)), (0, 0, 0, 0)) == 7
     assert evaluate(Fraction(7), ()) == 7
 
 
@@ -141,18 +141,6 @@ def test_evaluate_denominator_vanishes():
     with pytest.raises(DenominatorVanishes) as exc:
         f.evaluate((Fraction(1), Fraction(-1)))
     assert exc.value.denominator == l1 + l2
-
-
-def test_ratfunc_field_arithmetic():
-    l1, l2 = L(2, 1), L(2, 2)
-    f = RatFunc(l1, l1 + l2)
-    g = RatFunc(l2, l1 + l2)
-    assert f + g == 1
-    assert f / f == 1
-    assert (f * g).num == l1 * l2
-    assert f - f == 0
-    h = f / RatFunc(l1)  # (l1/(l1+l2)) / l1 = 1/(l1+l2)
-    assert h.num.is_one() and h.den == l1 + l2
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +214,6 @@ def test_path_and_weight_polys_do_not_mix():
                 op(a, b)
     with pytest.raises(TypeError):
         RatFunc(t)
-    with pytest.raises(TypeError):
-        RatFunc(l1) + t
     assert t != l1 and l1 != t
     assert RatFunc(l1) != t
     assert PathPoly.const(2) != MultiPoly.const(1, 2)
@@ -494,7 +480,8 @@ def test_no_operation_stores_a_float_or_an_integral_fraction(pq, c):
         results += [poly_exact_div(p * q, q), poly_gcd(p, q)]
     if q and type(p) is MultiPoly:
         f = RatFunc(p, q)
-        results += [f.num, f.den, (f * f).num, (f + 1).num, (f - c).den]
+        results += [f.num, f.den, RatFunc(p * p, q * q).num, RatFunc(p + q, q).num,
+                    RatFunc(p - q * c, q).den, RatFunc(p * c).num]
     for r in results:
         assert _stored_canonically(r), r
 

@@ -40,7 +40,16 @@ from gmarr.exact import PathPoly, parse_path_poly
 from gmarr.linalg import mat_mul
 from gmarr.reference import EXAMPLES, EXPECTED, render_scalar
 
-from _helpers import cofactor_det, ladder_path, random_nonresonant_weights
+from _helpers import (
+    cofactor_det,
+    ladder_path,
+    pair_add,
+    pair_eq,
+    pair_matrices_eq,
+    pair_matrix,
+    pair_mul,
+    random_nonresonant_weights,
+)
 
 
 def path_rows(rows):
@@ -440,15 +449,9 @@ def test_connection_equation_holds_generic():
         B = combined_omega(p.T, p.Tprime, mult, p.T.n, p.T.ell, w)
         P = projection_matrix(p.T, w)
         omega = solve_connection(P, B)
-        lhs = _matmul(
-            [list(r) for r in P.entries], [list(r) for r in omega.entries], w.zero_scalar()
-        )
-        rhs = _matmul(
-            [list(r) for r in B.entries], [list(r) for r in P.entries], w.zero_scalar()
-        )
-        for ra, rb in zip(lhs, rhs):
-            for a, b in zip(ra, rb):
-                assert a == b
+        # checked over unreduced (numerator, denominator) pairs, not through RatFunc
+        Pp, Bp, Op = (pair_matrix(m.entries) for m in (P, B, omega))
+        assert pair_matrices_eq(pair_mul(Pp, Op), pair_mul(Bp, Pp))
 
 
 def test_connection_equation_holds_concrete():
@@ -466,6 +469,65 @@ def test_connection_equation_holds_concrete():
         Be = [[Fraction(x) for x in row] for row in B.entries]
         Oe = [[Fraction(x) for x in row] for row in omega.entries]
         assert _matmul(Pe, Oe, Fraction(0)) == _matmul(Be, Pe, Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# spectral certificate: Ω/λ_X is idempotent (Cohen-Orlik, Part I)
+# ---------------------------------------------------------------------------
+
+
+def _spectral_rank(omega: ConnectionMatrix, lam) -> int:
+    """Check Ω² = λ·Ω exactly and return the integer r with tr Ω = r·λ,
+    1 ≤ r ≤ |basis|; the rank of Ω, as Ω/λ is a projection."""
+    assert lam, "λ_X = 0 would make the certificate vacuous"
+    O = pair_matrix(omega.entries)
+    assert pair_matrices_eq(pair_mul(O, O), [[(lam * a, b) for a, b in row] for row in O])
+    trace = (0, 1)
+    for i, row in enumerate(O):
+        trace = pair_add(trace, row[i])
+    ranks = [r for r in range(1, len(O) + 1) if pair_eq(trace, (r * lam, 1))]
+    assert len(ranks) == 1, f"tr Ω is not r·λ_X for an r in 1..{len(O)}"
+    return ranks[0]
+
+
+# the collapsing edge X of each worked path (n + 1 is infinity) and the rank
+SPECTRAL = {
+    "triple_point_path_1": ((3, 4, 5), "-l1 - l2", 1),
+    "triple_point_path_2": ((1, 2), "l1 + l2", 1),
+    "triple_point_path_3": ((1, 2, 3, 4), "l1 + l2 + l3 + l4", 2),
+    "selberg_path": ((3, 4, 5), "l3 + l4 + l5", 2),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(SPECTRAL))
+def test_spectral_certificate_on_worked_paths(stem):
+    X, lam_text, rank = SPECTRAL[stem]
+    p = _path(EXAMPLES[stem]["rows"], EXAMPLES[stem]["t_witness"])
+    w = Weights.generic(p.T.n)
+    assert str(w.weight_sum(X)) == lam_text
+    omega, _ = connection_for_path(p)
+    assert _spectral_rank(omega, w.weight_sum(X)) == rank
+    wc = Weights.concrete(random_nonresonant_weights(random.Random(len(stem)), p.T))
+    omega, _ = connection_for_path(p, wc)
+    assert _spectral_rank(omega, wc.weight_sum(X)) == rank
+
+
+@pytest.mark.parametrize(
+    "rung", [(6, 3, 2), (7, 2, 3), (7, 3, 3), (8, 2, 3), (7, 3, 2)], ids=str
+)
+def test_spectral_certificate_on_ladder_paths(rung):
+    # X is the set of rows that coincide in u_ell = 0 at t = 0; the rank is
+    # |βnbc(T)| − |βnbc(A₀)|, A₀ the arrangement at t = 0 with X merged
+    n, ell, _ = rung
+    p = ladder_path(random.Random(sum(rung)), *rung)
+    at0 = p.realization.specialize(0, allow_coincident=True)
+    unit = (0,) * ell + (1,)
+    X = tuple(i for i in range(1, n + 1) if at0.row(i) == unit)
+    omega, _ = connection_for_path(p)
+    rank = _spectral_rank(omega, Weights.generic(n).weight_sum(X))
+    merged = [at0.row(i) for i in range(1, n + 1) if i not in X[1:]]
+    A0 = compute_type(Realization(merged))
+    assert rank == len(betanbc_frames(p.T)) - len(betanbc_frames(A0))
 
 
 def test_connection_symbolic_evaluates_to_concrete():

@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from gmarr import (
-    OSElement,
     ResonantWeights,
     SpanDefect,
     Weights,
@@ -75,30 +74,14 @@ T_SELBERG = compute_type(SELBERG)
 G42 = general_position_type(4, 2)
 
 
-# ---------------------------------------------------------------------------
-# OSElement basics
-# ---------------------------------------------------------------------------
-
-
-def test_oselement_zero_add_neg():
-    z = OSElement.zero(2)
-    a = OSElement(2, {(1, 2): Fraction(3)})
-    assert not z
-    assert a + z == a
-    assert a - a == OSElement.zero(2)
-    assert (-a).coeffs == {(1, 2): Fraction(-3)}
-
-
-def test_oselement_degree_mismatch():
-    a = OSElement(1, {(1,): Fraction(1)})
-    b = OSElement(2, {(1, 2): Fraction(1)})
-    with pytest.raises(ValueError):
-        a + b
-
-
-def test_oselement_scale_drops_zeros():
-    a = OSElement(1, {(1,): Fraction(2), (3,): Fraction(5)})
-    assert a.scale(Fraction(0)) == OSElement.zero(1)
+def _combine(terms):
+    """Σ c·x over (scalar c, element x) pairs of nbc-basis dicts, with the
+    zero coefficients dropped."""
+    out = {}
+    for c, x in terms:
+        for S, v in x.items():
+            out[S] = out.get(S, 0) + c * v
+    return {S: v for S, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -108,38 +91,40 @@ def test_oselement_scale_drops_zeros():
 
 def test_straighten_broken_circuit_triple_point():
     # {2,3} is the broken circuit of the concurrent triple {1,2,3}.
-    out = straighten((2, 3), T_TRIPLE)
-    assert out.coeffs == {(1, 3): Fraction(1), (1, 2): Fraction(-1)}
+    assert straighten((2, 3), T_TRIPLE) == {(1, 3): 1, (1, 2): -1}
 
 
 def test_straighten_nbc_monomial_is_fixed():
     for S in nbc_sets(T_TRIPLE, 2):
-        assert straighten(S, T_TRIPLE).coeffs == {S: Fraction(1)}
+        assert straighten(S, T_TRIPLE) == {S: 1}
     for S in nbc_sets(T_SELBERG, 2):
-        assert straighten(S, T_SELBERG).coeffs == {S: Fraction(1)}
+        assert straighten(S, T_SELBERG) == {S: 1}
 
 
 def test_straighten_dependent_pair_is_zero():
     # rows 1 and 2 of the Selberg figure are parallel lines.
-    assert straighten((1, 2), T_SELBERG) == OSElement.zero(2)
+    assert straighten((1, 2), T_SELBERG) == {}
 
 
 def test_straighten_selberg_broken_circuits():
     # circuits {1,3,5}, {2,4,5} break to {3,5}, {4,5}.
-    assert straighten((3, 5), T_SELBERG).coeffs == {
-        (1, 5): Fraction(1),
-        (1, 3): Fraction(-1),
-    }
-    assert straighten((4, 5), T_SELBERG).coeffs == {
-        (2, 5): Fraction(1),
-        (2, 4): Fraction(-1),
-    }
+    assert straighten((3, 5), T_SELBERG) == {(1, 5): 1, (1, 3): -1}
+    assert straighten((4, 5), T_SELBERG) == {(2, 5): 1, (2, 4): -1}
 
 
 def test_straighten_empty_and_singletons():
-    assert straighten((), T_TRIPLE).coeffs == {(): Fraction(1)}
+    assert straighten((), T_TRIPLE) == {(): 1}
     for j in range(1, 5):
-        assert straighten((j,), T_TRIPLE).coeffs == {(j,): Fraction(1)}
+        assert straighten((j,), T_TRIPLE) == {(j,): 1}
+
+
+def test_straighten_returns_integer_coefficients_in_a_fresh_dict():
+    for S in itertools.combinations(range(1, T_SELBERG.n + 1), 2):
+        out = straighten(S, T_SELBERG)
+        assert type(out) is dict and all(type(c) is int and c for c in out.values())
+        # the caller owns the result: changing it leaves the memo alone
+        out[S] = 7
+        assert straighten(S, T_SELBERG) != out
 
 
 def test_straighten_validation():
@@ -156,7 +141,7 @@ def test_straighten_keys_are_nbc():
         for q in range(T.ell + 1):
             allowed = set(nbc_sets(T, q))
             for S in itertools.combinations(range(1, T.n + 1), q):
-                assert set(straighten(S, T).coeffs) <= allowed
+                assert set(straighten(S, T)) <= allowed
 
 
 def test_straighten_matches_oracle_on_examples():
@@ -165,7 +150,7 @@ def test_straighten_matches_oracle_on_examples():
         for q in range(1, T.ell + 1):
             for S in itertools.combinations(range(1, T.n + 1), q):
                 expected = straighten_oracle(r, S)
-                got = {k: v for k, v in straighten(S, T).coeffs.items() if v}
+                got = straighten(S, T)
                 assert got == expected, (S, got, expected)
 
 
@@ -176,9 +161,7 @@ def test_straighten_matches_oracle_on_random_realizations():
         r = random_realization(rng, n, 2)
         T = compute_type(r)
         for S in itertools.combinations(range(1, n + 1), 2):
-            assert {
-                k: v for k, v in straighten(S, T).coeffs.items() if v
-            } == straighten_oracle(r, S), (r.rows, S)
+            assert straighten(S, T) == straighten_oracle(r, S), (r.rows, S)
 
 
 def test_straighten_matches_oracle_with_a_remainder():
@@ -186,19 +169,17 @@ def test_straighten_matches_oracle_with_a_remainder():
         T = compute_type(r)
         for q in range(1, T.ell + 1):
             for S in itertools.combinations(range(1, T.n + 1), q):
-                got = {k: v for k, v in straighten(S, T).coeffs.items() if v}
-                assert got == straighten_oracle(r, S), (r.rows, S)
+                assert straighten(S, T) == straighten_oracle(r, S), (r.rows, S)
 
 
 def test_straighten_is_linear_over_circuit_boundaries():
     # the signed alternating sum over any concurrent triple straightens to 0
     for T, dep in [(T_TRIPLE, (1, 2, 3)), (T_SELBERG, (2, 4, 5))]:
-        total = OSElement.zero(2)
+        terms = []
         for i, drop in enumerate(dep):
             rest = tuple(x for x in dep if x != drop)
-            sign = Fraction(-1) if i % 2 else Fraction(1)
-            total = total + straighten(rest, T).scale(sign)
-        assert total == OSElement.zero(2)
+            terms.append((-1 if i % 2 else 1, straighten(rest, T)))
+        assert _combine(terms) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +190,14 @@ def test_straighten_is_linear_over_circuit_boundaries():
 def test_zeta_general_position_is_scaled_monomial():
     w = Weights.generic(4)
     for B in betanbc_frames(G42):
-        z = zeta(B, G42, w)
         lam = w.weight(B[0]) * w.weight(B[1])
-        assert z.coeffs == {B: lam}
+        assert zeta(B, G42, w) == {B: lam}
 
 
 def test_zeta_triple_point_frames():
     w = Weights.generic(4)
     for B in betanbc_frames(T_TRIPLE):
-        z = zeta(B, T_TRIPLE, w)
-        assert z.coeffs == {B: w.weight(B[0]) * w.weight(B[1])}
+        assert zeta(B, T_TRIPLE, w) == {B: w.weight(B[0]) * w.weight(B[1])}
 
 
 def test_zeta_selberg_24_hand_value():
@@ -228,11 +207,11 @@ def test_zeta_selberg_24_hand_value():
     w = Weights.generic(5)
     z = zeta((2, 4), T_SELBERG, w)
     l2, l4, l5 = w.weight(2), w.weight(4), w.weight(5)
-    expected = straighten((2, 4), T_SELBERG).scale(l2 * l4) - straighten(
-        (4, 5), T_SELBERG
-    ).scale(l4 * l5)
+    expected = _combine(
+        [(l2 * l4, straighten((2, 4), T_SELBERG)), (-l4 * l5, straighten((4, 5), T_SELBERG))]
+    )
     assert z == expected
-    assert {k: render_scalar(v) for k, v in sorted(z.coeffs.items())} == {
+    assert {k: render_scalar(v) for k, v in sorted(z.items())} == {
         (2, 4): "l2*l4 + l4*l5",
         (2, 5): "-l4*l5",
     }
@@ -243,13 +222,13 @@ def test_zeta_selberg_25_hand_value():
     # l2*l5*a25 + l4*l5*a45, and a45 = a25 - a24 under straightening.
     w = Weights.generic(5)
     z = zeta((2, 5), T_SELBERG, w)
-    assert set(z.coeffs) <= set(nbc_sets(T_SELBERG, 2))
+    assert set(z) <= set(nbc_sets(T_SELBERG, 2))
     l2, l4, l5 = w.weight(2), w.weight(4), w.weight(5)
-    expected = straighten((2, 5), T_SELBERG).scale(l2 * l5) + straighten(
-        (4, 5), T_SELBERG
-    ).scale(l4 * l5)
+    expected = _combine(
+        [(l2 * l5, straighten((2, 5), T_SELBERG)), (l4 * l5, straighten((4, 5), T_SELBERG))]
+    )
     assert z == expected
-    assert {k: render_scalar(v) for k, v in sorted(z.coeffs.items())} == {
+    assert {k: render_scalar(v) for k, v in sorted(z.items())} == {
         (2, 4): "-l4*l5",
         (2, 5): "l2*l5 + l4*l5",
     }
@@ -273,9 +252,9 @@ def test_zeta_concrete_weights_match_generic_evaluation():
     for B in betanbc_frames(T_SELBERG):
         sym = zeta(B, T_SELBERG, wg)
         num = zeta(B, T_SELBERG, wc)
-        for key in set(sym.coeffs) | set(num.coeffs):
-            s = sym.coeffs.get(key, wg.zero_scalar())
-            cval = num.coeffs.get(key, Fraction(0))
+        for key in set(sym) | set(num):
+            s = sym.get(key, wg.zero_scalar())
+            cval = num.get(key, Fraction(0))
             assert s.evaluate(vals) == Fraction(cval)
 
 
@@ -386,7 +365,7 @@ def test_zeta_and_a_lambda_image_span_top_degree():
         columns = [list(col) for col in zip(*a_lambda_matrix(T, w, T.ell - 1))]
         for B in betanbc_frames(T):
             vec = [Fraction(0)] * len(top)
-            for S, c in zeta(B, T, w).coeffs.items():
+            for S, c in zeta(B, T, w).items():
                 vec[index[S]] = Fraction(c)
             columns.append(vec)
         assert rref_rank(columns) == len(top)
@@ -592,6 +571,21 @@ def test_dependent_frame_image_raises_span_defect(monkeypatch):
     monkeypatch.setattr(orlik_solomon, "_eta_image", copied)
     with pytest.raises(SpanDefect):
         projection_matrix(T_SELBERG, Weights.generic(T_SELBERG.n))
+
+
+def test_zero_weight_on_a_frame_raises_span_defect(monkeypatch):
+    # a zero weight is resonant, so the nonresonance gate is bypassed here:
+    # the frame's image λ_B·a_B then drops out and must be reported, not
+    # divided by
+    from gmarr import orlik_solomon
+
+    frame = betanbc_frames(T_TRIPLE)[0]
+    vals = [Fraction(1, 3), Fraction(2, 5), Fraction(-1, 7), Fraction(1, 11)]
+    vals[frame[0] - 1] = Fraction(0)
+    monkeypatch.setattr(orlik_solomon, "stv_check", lambda T, w: stv_check(T, Weights.generic(T.n)))
+    with pytest.raises(SpanDefect, match="not nonzero multiples") as exc:
+        projection_matrix(T_TRIPLE, Weights.concrete(vals))
+    assert f"frames {[frame]} are" in str(exc.value)
 
 
 def test_frame_column_off_the_pivots_raises_span_defect(monkeypatch):
