@@ -142,8 +142,8 @@ class Realization:
         a convention, not a validity requirement)."""
         if self.n < self.ell:
             return False
-        block = [list(self.rows[i][1:]) for i in range(self.ell)]
-        return bool(_det_small(block))
+        # with the row at infinity, ± the minor of the first ℓ linear parts
+        return bool(self.minor(tuple(range(1, self.ell + 1)) + (self.n + 1,)))
 
     def minor(self, I: Iterable[int]):
         """Exact determinant of the rows indexed by the sorted (ℓ+1)-set I."""
@@ -297,7 +297,7 @@ class _Matroid:
                 fs = frozenset(S)
                 if any(c <= fs for c in found):
                     continue
-                if self.rank(fs) < size:
+                if size > self.full_rank or self.rank(fs) < size:  # dependent by size or rank
                     found.append(fs)
         return found
 
@@ -309,21 +309,16 @@ def _matroid_of(T: CombinatorialType) -> _Matroid:
 @lru_cache(maxsize=TYPE_CACHE_SIZE)
 def affine_circuits(T: CombinatorialType) -> tuple[tuple[int, ...], ...]:
     """Inclusion-minimal S ⊆ [n] that are dependent in the projective closure
-    and have nonempty intersection (n+1 outside the closure of S)."""
+    and have nonempty intersection (n+1 outside the closure of S), by size,
+    then lexicographically."""
     m = _matroid_of(T)
     inf = T.n + 1
-    found: list[frozenset] = []
-    out: list[tuple[int, ...]] = []
-    for size in range(1, T.ell + 2):
-        for S in itertools.combinations(range(1, T.n + 1), size):
-            fs = frozenset(S)
-            if any(c <= fs for c in found):
-                continue
-            r = m.rank(fs)
-            if r < size and m.rank(fs | {inf}) == r + 1:
-                found.append(fs)
-                out.append(S)
-    return tuple(sorted(out, key=lambda c: (len(c), c)))
+    # a circuit C has rank |C| − 1, and one of ℓ+2 elements spans the closure
+    return tuple(
+        tuple(sorted(C))
+        for C in m.circuits_within(range(1, inf))
+        if len(C) <= T.ell + 1 and m.rank(C | {inf}) == len(C)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +327,14 @@ def affine_circuits(T: CombinatorialType) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=TYPE_CACHE_SIZE)
-def _broken_circuits(T: CombinatorialType) -> tuple[frozenset, ...]:
-    out = {frozenset(C[1:]) for C in affine_circuits(T) if len(C) > 1}
-    return tuple(sorted(out, key=lambda s: (len(s), tuple(sorted(s)))))
+def _broken_circuits(T: CombinatorialType) -> dict[tuple[int, ...], int]:
+    """Each broken circuit C ∖ {min C} of an affine circuit C, in
+    lexicographic order, mapped to the least min C that completes it."""
+    complete: dict[tuple[int, ...], int] = {}
+    for C in affine_circuits(T):
+        if len(C) > 1 and C[0] < complete.get(C[1:], T.n + 1):
+            complete[C[1:]] = C[0]
+    return dict(sorted(complete.items()))
 
 
 def _affine_independent(T: CombinatorialType, S: Iterable[int]) -> bool:
@@ -354,7 +354,7 @@ def nbc_sets(T: CombinatorialType, q: int) -> tuple[tuple[int, ...], ...]:
     out = []
     for S in itertools.combinations(range(1, T.n + 1), q):
         fs = frozenset(S)
-        if any(bc <= fs for bc in bcs):
+        if any(fs.issuperset(bc) for bc in bcs):
             continue
         if _affine_independent(T, fs):
             out.append(S)

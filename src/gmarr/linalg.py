@@ -6,18 +6,14 @@ pivot, so entries stay in the domain.  ``fraction_free_echelon`` reports the
 input index of each output row, so a row left below the pivots can be read
 by Sylvester's identity: its entry in a column beyond the pivoting ones is
 d' times the Schur complement of the pivot block there, d' the last pivot.
-``orlik_solomon.projection_matrix`` reads the projection off those rows.
-``solve_all`` back-substitutes fraction-free (Nakos–Turner–Williams, SIGSAM
-Bull. 31(3), 1997): with d the last pivot, the determinant of the pivot
-block, d·X is a domain matrix by Cramer's rule, and each of its entries is
-an exact quotient by the pivot of its row; it returns N = d·X with d, so no
-fraction or rational function is built here.  Three domains meet the one
+``orlik_solomon.projection_matrix`` reads the projection off those rows, so
+no fraction or rational function is built here.  Three domains meet the one
 routine:
 
 * ``Fraction`` systems are scaled row by row to Python ``int`` rows by the
   lcm of their denominators (``_integer_row``); the scaling changes neither
-  the nonzero pattern the pivots are chosen from nor the solutions, and N
-  and d come back as ``int``.
+  the nonzero pattern the pivots are chosen from nor the rank, and it
+  multiplies each read-off entry by the scales of the rows in its minor.
 * ``MultiPoly`` systems, divided exactly by ``poly_exact_div``, with
   ``int`` coefficients wherever they are integral.  On the ladder
   degenerations every entry and pivot is a single term, so the division
@@ -29,14 +25,12 @@ An update whose products are both zero is skipped, and a half-zero update
 computes only its nonzero product.
 
 Pivoting is deterministic: columns are processed left to right and the first
-row with a nonzero entry is chosen, so results are reproducible; ``solve_all``
-reports the pivot columns.
+row with a nonzero entry is chosen, so results are reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .exact import MultiPoly, poly_exact_div
@@ -112,63 +106,11 @@ def fraction_free_echelon(matrix: Sequence[Sequence], ncols: int | None = None) 
     return EchelonResult(m, pivots, order)
 
 
-class SolveResult:
-    __slots__ = ("rank", "consistent", "solution", "denominator", "bad_row", "pivots")
-
-    def __init__(self, rank, consistent, solution, denominator=1, bad_row=None, pivots=()):
-        self.rank = rank
-        self.consistent = consistent
-        self.solution = solution        # k x r domain entries N = d·X, or None
-        self.denominator = denominator  # d, the last pivot (1 when rank is 0)
-        self.bad_row = bad_row          # first inconsistent row index, if any
-        self.pivots = pivots            # pivot columns of A, ascending
-
-
 def _integer_row(row: list) -> tuple[int, list[int]]:
     """The lcm of the row's denominators, and the row times it as Python
     ints."""
     scale = math.lcm(*(x.denominator for x in row))
     return scale, [x.numerator * (scale // x.denominator) for x in row]
-
-
-def solve_all(A: Sequence[Sequence], B: Sequence[Sequence]) -> SolveResult:
-    """Solve A·X = B column by column, fraction-free.
-
-    A is m×k, B is m×r.  Free variables (columns of A without a pivot) are
-    set to zero.  The result carries N = d·X (k×r domain entries) and d, so
-    that A·N = d·B exactly.  When some column of B is not in the column span
-    of A the result is flagged inconsistent and carries the offending row.
-    """
-    nr = len(A)
-    k = len(A[0]) if nr else 0
-    r = len(B[0]) if nr else 0
-    if nr == 0 or k == 0:
-        return SolveResult(0, True, [])
-    aug = [list(A[i]) + list(B[i]) for i in range(nr)]
-    if all(isinstance(x, (int, Fraction)) for row in aug for x in row):
-        aug = [_integer_row(row)[1] for row in aug]
-    ech = fraction_free_echelon(aug, ncols=k)
-    pivots = tuple(c for _, c in ech.pivots)
-    # rows below the last pivot have an all-zero A part; any nonzero B part
-    # there witnesses inconsistency
-    for i in range(ech.rank, nr):
-        for j in range(k, k + r):
-            if ech.rows[i][j]:
-                return SolveResult(ech.rank, False, None, bad_row=i, pivots=pivots)
-    # fraction-free back-substitution: p·N[pc] = d·b − Σ u·N, divided exactly
-    zero = aug[0][0] - aug[0][0]
-    d = ech.rows[ech.rank - 1][pivots[-1]] if pivots else zero + 1
-    N = [[zero] * r for _ in range(k)]
-    for pr, pc in reversed(ech.pivots):
-        row = ech.rows[pr]
-        for j in range(r):
-            acc = d * row[k + j]
-            for c2 in range(pc + 1, k):
-                e = row[c2]
-                if e and N[c2][j]:
-                    acc = acc - e * N[c2][j]
-            N[pc][j] = _exact_div(acc, row[pc])
-    return SolveResult(ech.rank, True, N, d, pivots=pivots)
 
 
 def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]):

@@ -30,8 +30,8 @@ from .arrangement import (
     CombinatorialType,
     Weights,
     _affine_independent,
+    _broken_circuits,
     _matroid_of,
-    affine_circuits,
     betanbc_frames,
     nbc_sets,
     stv_check,
@@ -78,16 +78,9 @@ class _Straightener:
     lexicographically smaller, so the recursion terminates.
     """
 
-    def __init__(self, T: CombinatorialType):
+    def __init__(self, T: CombinatorialType, complete: dict[tuple[int, ...], int]):
         self.T = T
-        complete: dict[tuple[int, ...], int] = {}
-        for C in affine_circuits(T):
-            bc = C[1:]
-            head = complete.get(bc)
-            if head is None or C[0] < head:
-                complete[bc] = C[0]
-        # broken circuits in lexicographic order for deterministic choice
-        self.broken = sorted(complete)
+        # broken circuit -> least completing element, in lexicographic order
         self.complete = complete
         self.memo: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
@@ -100,7 +93,7 @@ class _Straightener:
             self.memo[S] = result
             return result
         sset = set(S)
-        bc = next((b for b in self.broken if sset.issuperset(b)), None)
+        bc = next((b for b in self.complete if sset.issuperset(b)), None)
         if bc is None:
             result = {S: 1}
             self.memo[S] = result
@@ -131,7 +124,7 @@ _STRAIGHTENERS: dict[CombinatorialType, _Straightener] = {}
 
 
 def _straightener(T: CombinatorialType) -> _Straightener:
-    eng = _STRAIGHTENERS.pop(T, None) or _Straightener(T)
+    eng = _STRAIGHTENERS.pop(T, None) or _Straightener(T, _broken_circuits(T))
     if len(_STRAIGHTENERS) >= TYPE_CACHE_SIZE:
         del _STRAIGHTENERS[next(iter(_STRAIGHTENERS))]
     _STRAIGHTENERS[T] = eng

@@ -6,6 +6,7 @@ samples the minors at rational parameter values and never touches the
 package's polynomial arithmetic.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -510,6 +511,21 @@ def test_spectral_certificate_on_worked_paths(stem):
     wc = Weights.concrete(random_nonresonant_weights(random.Random(len(stem)), p.T))
     omega, _ = connection_for_path(p, wc)
     assert _spectral_rank(omega, wc.weight_sum(X)) == rank
+
+
+@pytest.mark.parametrize("stem", sorted(SPECTRAL))
+def test_spectral_certificate_under_relabelling(stem):
+    """Relabel the finite hyperplanes in every order: X follows the
+    relabelling with ∞ fixed, and Ω² = λ_σ(X)·Ω holds with the same rank."""
+    X, _, rank = SPECTRAL[stem]
+    rows = EXAMPLES[stem]["rows"]
+    n = len(rows)
+    for perm in itertools.permutations(range(1, n + 1)):
+        new_label = {old: new for new, old in enumerate(perm, 1)} | {n + 1: n + 1}
+        p = _path([rows[old - 1] for old in perm], EXAMPLES[stem]["t_witness"])
+        omega, _ = connection_for_path(p)
+        lam = Weights.generic(n).weight_sum(sorted(new_label[i] for i in X))
+        assert _spectral_rank(omega, lam) == rank, perm
 
 
 @pytest.mark.parametrize(

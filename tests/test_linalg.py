@@ -1,15 +1,18 @@
-"""solve_all and fraction_free_echelon against the Gauss-Jordan oracles and
-cofactor minors.
+"""fraction_free_echelon and the Sylvester read-off, against the Gauss-Jordan
+oracles and cofactor minors.
 
-solve_all returns N = d·X over one common denominator d.  Fraction systems
-are eliminated over integer rows, so every check here also asserts that N
-and d come back as ints, that A·N = d·B exactly, that d is the determinant
-of a pivot block of the integer rows (up to sign, by cofactor expansion),
-and that N/d agrees entry for entry with the divide-and-pivot oracle in
-``_helpers``.
+``orlik_solomon.projection_matrix`` runs no back-substitution: it eliminates
+on the leading columns only and reads each row left below the pivots by
+Sylvester's identity.  For every output row r at or below the rank and
+every column j beyond the pivoting ones, ``rows[r][j]`` is the minor of the
+input rows ``order[0..rank-1]`` and ``order[r]`` on the pivot columns plus
+j.  Every check here goes through that read-off, over ``int``, ``Fraction``
+and ``MultiPoly`` entries; ``Fraction`` systems are also eliminated over
+their integer rows, as the projection does, where each read-off entry gains
+the row scales of its minor.  A linear system A·X = B is solved the same
+way: below [A | B] sit the rows (−e_c | 0), whose read-offs are d·X[c].
 """
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,8 +20,8 @@ from fractions import Fraction
 import pytest
 from _helpers import cofactor_det, rref_rank, rref_solve
 
-from gmarr.exact import MultiPoly, RatFunc, evaluate
-from gmarr.linalg import _exact_div, fraction_free_echelon, solve_all
+from gmarr.exact import MultiPoly, evaluate
+from gmarr.linalg import _exact_div, _integer_row, fraction_free_echelon
 
 PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173)
 
@@ -35,7 +38,7 @@ def _random_matrix(rng, rows, cols, density=0.7):
 
 def _product(A, X):
     return [
-        [sum((a * X[s][j] for s, a in enumerate(row)), Fraction(0)) for j in range(len(X[0]))]
+        [sum((a * X[s][j] for s, a in enumerate(row)), 0 * X[0][j]) for j in range(len(X[0]))]
         for row in A
     ]
 
@@ -52,42 +55,70 @@ def _column(M, j):
     return [row[j] for row in M]
 
 
-def _pivot_block_dets(M, pivots):
-    """|det| of every square block of M on the pivot columns."""
-    return {
-        abs(cofactor_det([[M[i][c] for c in pivots] for i in rows]))
-        for rows in itertools.combinations(range(len(M)), len(pivots))
-    }
+def _read_off(M, ncols):
+    """Eliminate M on its first ``ncols`` columns and check the read-off:
+    ``order`` is a permutation, the last pivot is the minor of the pivot rows
+    on the pivot columns, and every row below the rank is zero on the
+    pivoting columns and holds the Sylvester minors beyond them."""
+    ech = fraction_free_echelon(M, ncols)
+    assert sorted(ech.order) == list(range(len(M)))
+    pcols = [c for _, c in ech.pivots]
+    above = [M[i] for i in ech.order[: ech.rank]]
+    if pcols:
+        assert ech.rows[ech.rank - 1][pcols[-1]] == cofactor_det([[x[c] for c in pcols] for x in above])
+    for r in range(ech.rank, len(M)):
+        row = ech.rows[r]
+        assert not any(row[:ncols])
+        for j in range(ncols, len(row)):
+            block = [[x[c] for c in pcols + [j]] for x in above + [M[ech.order[r]]]]
+            assert row[j] == cofactor_det(block), (r, j)
+    return ech
 
 
-def _check_against_oracle(A, B):
-    """solve_all(A, B) agrees with rref_rank / rref_solve, A·N = d·B exactly,
-    and d is ± the determinant of a pivot block of the integer rows."""
-    res = solve_all(A, B)
-    k, r = len(A[0]), len(B[0])
+def _read_off_integer_rows(M, ncols):
+    """The read-off of a Fraction matrix over its integer rows: the same
+    pivots and order, ``int`` entries, and each entry below the rank the
+    Fraction one times the row scales of its minor."""
+    ech = _read_off(M, ncols)
+    scales, ints = zip(*(_integer_row(row) for row in M))
+    ech_int = _read_off(list(ints), ncols)
+    assert (ech_int.pivots, ech_int.order) == (ech.pivots, ech.order)
+    pivot_scale = math.prod(scales[i] for i in ech.order[: ech.rank])
+    for r in range(ech.rank, len(M)):
+        scale = pivot_scale * scales[ech.order[r]]
+        for j in range(ncols, len(M[r])):
+            assert type(ech_int.rows[r][j]) is int
+            assert ech_int.rows[r][j] == scale * ech.rows[r][j]
+    return ech
+
+
+def _check_system(A, B):
+    """[A | B] read off on A's columns: the rank is the oracle's, and the rows
+    below the rank are zero beyond A exactly when the oracle solves every
+    column of B."""
+    k = len(A[0])
+    ech = _read_off_integer_rows([list(a) + list(b) for a, b in zip(A, B)], k)
+    assert ech.rank == rref_rank(A)
     A_columns = [_column(A, c) for c in range(k)]
-    expected = [rref_solve(A_columns, _column(B, j)) for j in range(r)]
-    assert res.rank == rref_rank(A)
-    assert res.consistent == all(x is not None for x in expected)
-    if not res.consistent:
-        assert res.solution is None
-        assert res.rank <= res.bad_row < len(A)
-        return res
-    assert res.bad_row is None
-    N, d = res.solution, res.denominator
-    assert type(d) is int and d
-    for j in range(r):
-        for c in range(k):
-            entry = N[c][j]
-            assert type(entry) is int
-            assert Fraction(entry, d) == expected[j][c]
+    consistent = all(rref_solve(A_columns, _column(B, j)) is not None for j in range(len(B[0])))
+    assert consistent == all(not any(row[k:]) for row in ech.rows[ech.rank:])
+    return ech
+
+
+def _read_off_solution(A, B, one):
+    """N and d with A·N = d·B for A of full column rank k, read off the rows
+    (−e_c | 0) appended below [A | B]: the pivots stay in A's rows, and by
+    Sylvester's identity row (−e_c | 0) holds d·X[c], d the last pivot."""
+    k, zero = len(A[0]), one - one
+    units = [[-one if c == i else zero for c in range(k)] + [zero] * len(B[0]) for i in range(k)]
+    M = [list(a) + list(b) for a, b in zip(A, B)] + units
+    ech = _read_off(M, k)
+    assert ech.pivots == [(c, c) for c in range(k)]
+    assert ech.order[len(A):] == list(range(len(A), len(M)))
+    d = ech.rows[k - 1][k - 1]
+    N = [ech.rows[len(A) + c][k:] for c in range(k)]
     assert _product(A, N) == [[d * b for b in row] for row in B]
-    scaled = [
-        [x * math.lcm(*(y.denominator for y in A[i] + B[i])) for x in A[i]]
-        for i in range(len(A))
-    ]
-    assert abs(d) in _pivot_block_dets(scaled, res.pivots)
-    return res
+    return N, d
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -98,11 +129,14 @@ def test_random_fraction_systems_match_oracle(seed):
     A = _random_matrix(rng, m, k, density=rng.choice((0.4, 0.7, 1.0)))
     X = _random_matrix(rng, k, 3)
     B = _product(A, X)
-    res = _check_against_oracle(A, B)
-    assert res.consistent
-    if res.rank == k:
-        d = res.denominator
-        assert [[Fraction(res.solution[c][j], d) for j in range(3)] for c in range(k)] == X
+    ech = _check_system(A, B)
+    assert not any(x for row in ech.rows[ech.rank:] for x in row)
+    if ech.rank == k:
+        # over the integer rows, as the projection reads P: N and d are ints
+        ints = [_integer_row(a + b)[1] for a, b in zip(A, B)]
+        N, d = _read_off_solution([row[:k] for row in ints], [row[k:] for row in ints], 1)
+        assert type(d) is int and all(type(x) is int for row in N for x in row)
+        assert [[Fraction(x, d) for x in row] for row in N] == X
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -111,11 +145,10 @@ def test_rank_deficient_systems_match_oracle(seed):
     m, k = rng.randint(3, 7), rng.randint(3, 6)
     rank = rng.randint(1, min(m, k) - 1)
     A = _rank_deficient(rng, m, k, rank)
-    X = _random_matrix(rng, k, 2)
-    B = _product(A, X)
-    res = _check_against_oracle(A, B)
-    assert res.rank == rank
-    assert res.consistent
+    B = _product(A, _random_matrix(rng, k, 2))
+    ech = _check_system(A, B)
+    assert ech.rank == rank
+    assert not any(x for row in ech.rows[rank:] for x in row)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -125,8 +158,8 @@ def test_random_inconsistent_systems_match_oracle(seed):
     rank = rng.randint(1, min(m - 1, k))
     A = _rank_deficient(rng, m, k, rank)
     B = _random_matrix(rng, m, 2, density=1.0)
-    res = _check_against_oracle(A, B)
-    assert not res.consistent
+    ech = _check_system(A, B)
+    assert any(any(row[k:]) for row in ech.rows[rank:])
 
 
 @pytest.mark.parametrize(
@@ -152,11 +185,13 @@ def test_random_inconsistent_systems_match_oracle(seed):
     ],
 )
 def test_inconsistent_system_names_its_row(A, B, rank, bad_row):
+    """The first output row below the rank with a nonzero read-off beyond A."""
     A = [[Fraction(x) for x in row] for row in A]
     B = [[Fraction(x) for x in row] for row in B]
-    res = solve_all(A, B)
-    assert (res.rank, res.consistent, res.solution, res.bad_row) == (rank, False, None, bad_row)
-    _check_against_oracle(A, B)
+    k = len(A[0])
+    ech = _check_system(A, B)
+    first = next(r for r in range(ech.rank, len(A)) if any(ech.rows[r][k:]))
+    assert (ech.rank, first) == (rank, bad_row)
 
 
 def test_zero_rows_and_columns():
@@ -168,26 +203,22 @@ def test_zero_rows_and_columns():
         [z, z, z, z],
     ]
     B = [[Fraction(1, 113), z], [z, z], [Fraction(-4, 127), z], [z, z]]
-    res = _check_against_oracle(A, B)
-    assert res.rank == 2 and res.consistent
-    assert all(res.solution[c][j] == 0 for c in (0, 2) for j in range(2))
-    assert all(x == 0 for x in _column(res.solution, 1))
+    ech = _check_system(A, B)
+    assert ech.rank == 2 and [c for _, c in ech.pivots] == [1, 3]
+    assert sorted(ech.order[2:]) == [1, 3]
+    assert not any(x for row in ech.rows[2:] for x in row)
 
-    res = _check_against_oracle([[z, z], [z, z]], [[z], [z]])
-    assert (res.rank, res.consistent) == (0, True)
-    assert res.solution == [[0], [0]] and res.denominator == 1
+    # rank 0: every row is read off, each entry its own 1×1 minor
+    for M in ([[z, z, z], [z, z, z]], [[0, 0, 5], [0, 0, 0]], [[z, z, Fraction(-3, 7)]]):
+        ech = _read_off_integer_rows(M, 2)
+        assert (ech.rank, ech.order, ech.rows) == (0, list(range(len(M))), M)
 
 
 def test_integer_input_solves_to_fractions():
-    A = [[2, 1], [1, 3]]
-    B = [[1], [2]]
-    res = solve_all(A, B)
-    assert (res.solution, res.denominator) == ([[1], [3]], 5)
-    assert all(type(x) is int for row in res.solution for x in row)
-    assert [Fraction(x, res.denominator) for (x,) in res.solution] == [
-        Fraction(1, 5),
-        Fraction(3, 5),
-    ]
+    N, d = _read_off_solution([[2, 1], [1, 3]], [[1], [2]], 1)
+    assert (N, d) == ([[1], [3]], 5)
+    assert all(type(x) is int for row in N for x in row)
+    assert [Fraction(x, d) for (x,) in N] == [Fraction(1, 5), Fraction(3, 5)]
 
 
 def test_multipoly_system_matches_oracle_at_a_point():
@@ -200,20 +231,14 @@ def test_multipoly_system_matches_oracle_at_a_point():
         [zero, l1 * l2, l1 - one],
     ]
     B = [[l1 * l2], [zero], [one]]
-    res = solve_all(A, B)
-    assert res.rank == 3 and res.consistent
-    N, d = res.solution, res.denominator
+    N, d = _read_off_solution(A, B, one)
     assert all(isinstance(x, MultiPoly) for row in N for x in row)
     assert d in (cofactor_det(A), -cofactor_det(A))
-    for i in range(3):
-        lhs = sum((A[i][c] * N[c][0] for c in range(3)), zero)
-        assert lhs == d * B[i][0]
-    X = [RatFunc(row[0], d) for row in N]
     for point in ([Fraction(2), Fraction(-3, 5)], [Fraction(7, 3), Fraction(1, 4)]):
         A_at = [[evaluate(x, point) for x in row] for row in A]
         b_at = [evaluate(row[0], point) for row in B]
         expected = rref_solve([_column(A_at, c) for c in range(3)], b_at)
-        assert [evaluate(x, point) for x in X] == expected
+        assert [evaluate(x, point) / evaluate(d, point) for (x,) in N] == expected
 
 
 def test_multipoly_rank_deficiency_is_seen():
@@ -247,7 +272,8 @@ def test_echelon_rank_on_sparse_matrices(seed):
 def _echelon_case(rng, kind):
     """A sparse int, Fraction or MultiPoly matrix and the number of columns
     to pivot on.  Those columns have rank at most ``inner`` < rows, so rows
-    remain below the pivots; the columns after them are dense."""
+    remain below the pivots; the columns after them are dense.  A zero row
+    and a zero pivoting column are each inserted at random half the time."""
     if kind == "multipoly":
         l1, l2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
         dense = lambda: rng.randint(-3, 3) * l1 + rng.randint(-3, 3) * l2 + rng.randint(1, 3)
@@ -261,37 +287,33 @@ def _echelon_case(rng, kind):
     left = [[entry() for _ in range(inner)] for _ in range(rows)]
     right = [[entry() for _ in range(ncols)] for _ in range(inner)]
     zero = 0 * dense()
-    return [
+    M = [
         [sum((a * right[s][j] for s, a in enumerate(row)), zero) for j in range(ncols)]
         + [dense() for _ in range(tail)]
         for row in left
-    ], ncols
+    ]
+    if rng.random() < 0.5:
+        M.insert(rng.randint(0, rows), [zero] * (ncols + tail))
+    if rng.random() < 0.5:
+        at = rng.randint(0, ncols)
+        M = [row[:at] + [zero] + row[at:] for row in M]
+        ncols += 1
+    return M, ncols
 
 
 @pytest.mark.parametrize("kind", ["int", "fraction", "multipoly"])
 @pytest.mark.parametrize("seed", range(8))
 def test_echelon_reports_the_input_row_of_each_output_row(kind, seed):
-    """``order`` is a permutation; below the rank every row is zero on the
-    pivoting columns, and by Sylvester's identity each of its other entries
-    is the minor of the pivot rows and that row's input row on the pivot
-    columns and its own, the last pivot that minor without the border."""
-    M, ncols = _echelon_case(random.Random(400 + seed), kind)
-    ech = fraction_free_echelon(M, ncols)
-    assert sorted(ech.order) == list(range(len(M)))
+    """The Sylvester read-off on ten random matrices per case, with the rank
+    of the oracle (at a point for MultiPoly entries)."""
+    rng = random.Random(400 + seed)
     point = [Fraction(31, 7), Fraction(-53, 11)]
-    pivoting = [[evaluate(x, point) if kind == "multipoly" else Fraction(x) for x in row[:ncols]]
-                for row in M]
-    assert ech.rank == rref_rank(pivoting)
-    pcols = [c for _, c in ech.pivots]
-    above = [M[i] for i in ech.order[: ech.rank]]
-    if pcols:
-        assert ech.rows[ech.rank - 1][pcols[-1]] == cofactor_det([[x[c] for c in pcols] for x in above])
-    for pos in range(ech.rank, len(M)):
-        row = ech.rows[pos]
-        assert not any(row[:ncols])
-        for j in range(ncols, len(row)):
-            block = [[x[c] for c in pcols + [j]] for x in above + [M[ech.order[pos]]]]
-            assert row[j] == cofactor_det(block), (pos, j)
+    for _ in range(10):
+        M, ncols = _echelon_case(rng, kind)
+        ech = _read_off(M, ncols) if kind == "multipoly" else _read_off_integer_rows(M, ncols)
+        pivoting = [[evaluate(x, point) if kind == "multipoly" else x for x in row[:ncols]]
+                    for row in M]
+        assert ech.rank == rref_rank(pivoting)
 
 
 def test_integer_exact_division():
