@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .arrangement import Weights
@@ -48,6 +49,11 @@ class ConnectionMatrix:
     basis: tuple[tuple[int, ...], ...]
     entries: tuple[tuple[object, ...], ...]
 
+    @cached_property
+    def nonzero(self) -> tuple[tuple[tuple[int, object], ...], ...]:
+        """The (column, entry) pairs of each row's nonzero entries, by column."""
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.entries)
+
     def entry(self, I: tuple[int, ...], Iprime: tuple[int, ...]):
         return self.entries[self.basis.index(I)][self.basis.index(Iprime)]
 
@@ -55,6 +61,22 @@ class ConnectionMatrix:
 # Largest general-position basis, C(n-1, ell) frames, that is built.  Blocks
 # are square in it: 496 frames (n = 33, ell = 2) take 1 s in omega-general.
 MAX_GENERAL_BASIS = 500
+
+
+def _from_rows(basis, rows: dict[int, dict[int, object]], zero) -> ConnectionMatrix:
+    """The square matrix with the entries ``rows[i][j]`` and ``zero`` elsewhere,
+    and its ``nonzero`` read off ``rows``: no step visits every entry."""
+    zero_row = (zero,) * len(basis)
+    entries, nonzero = [zero_row] * len(basis), [()] * len(basis)
+    for i, row in rows.items():
+        full = list(zero_row)
+        for j, x in row.items():
+            full[j] = x
+        entries[i] = tuple(full)
+        nonzero[i] = tuple((j, row[j]) for j in sorted(row) if row[j])
+    M = ConnectionMatrix(basis=basis, entries=tuple(entries))
+    object.__setattr__(M, "nonzero", tuple(nonzero))  # fills the cached property
+    return M
 
 
 def _general_basis(n: int, ell: int) -> tuple[tuple[int, ...], ...]:
@@ -85,8 +107,7 @@ def omega_general(
 
     basis = _general_basis(n, ell)
     index = {B: i for i, B in enumerate(basis)}
-    zero = w.zero_scalar()
-    entries = [[zero for _ in basis] for _ in basis]
+    rows: dict[int, dict[int, object]] = {}
     inf = n + 1
     has_one = 1 in J
     has_inf = inf in J
@@ -95,46 +116,42 @@ def omega_general(
         # every J ∖ {j_p} is a basis frame; they exchange among themselves
         deleted = [(J[:p] + J[p + 1:], J[p]) for p in range(len(J))]
         for p0, (row_frame, _) in enumerate(deleted):
-            row = index[row_frame]
+            row = rows.setdefault(index[row_frame], {})
             for p, (col_frame, jp) in enumerate(deleted):
                 lam = w.weight(jp)
-                entries[row][index[col_frame]] = -lam if (p0 + p) % 2 else lam
+                row[index[col_frame]] = -lam if (p0 + p) % 2 else lam
     elif has_inf and not has_one:
         Jp = tuple(x for x in J if x != inf)
         col = index[Jp]
         outside = [j for j in range(1, n + 1) if j not in Jp]
-        entries[col][col] = -w.weight_sum(outside)
+        rows[col] = {col: -w.weight_sum(outside)}
         jset = set(Jp)
         for I in basis:
             extra = set(I) - jset
             if len(extra) != 1 or I == Jp:
                 continue
             lam = w.weight(extra.pop())
-            entries[index[I]][col] = -lam if epsilon(I, Jp) == 1 else lam
+            rows.setdefault(index[I], {})[col] = -lam if epsilon(I, Jp) == 1 else lam
     elif has_one and not has_inf:
         J1 = J[1:]
-        row = index[J1]
-        entries[row][row] = w.weight_sum(J)
+        row = rows[index[J1]] = {index[J1]: w.weight_sum(J)}
         jset = set(J1)
         for Ip in basis:
             common = jset & set(Ip)
             if len(common) != ell - 1 or Ip == J1:
                 continue
             lam = w.weight(next(iter(jset - common)))
-            entries[row][index[Ip]] = -lam if epsilon(J1, Ip) == 1 else lam
+            row[index[Ip]] = -lam if epsilon(J1, Ip) == 1 else lam
     else:
+        # the frames holding J2 = J ∖ {1, n+1} are J2 ∪ {x}, pairwise meeting in J2
         J2 = tuple(x for x in J if x != 1 and x != inf)
-        j2set = set(J2)
-        for I in basis:
-            if not j2set <= set(I):
-                continue
-            row = index[I]
-            lam = w.weight(next(iter(set(I) - j2set)))
-            entries[row][row] = -lam
-            for Ip in basis:
-                if Ip != I and set(I) & set(Ip) == j2set:
-                    entries[row][index[Ip]] = (
-                        lam if epsilon(I, Ip) == 1 else -lam
-                    )
+        extras = [x for x in range(2, n + 1) if x not in J2]
+        holding = [tuple(sorted(J2 + (x,))) for x in extras]
+        for x, I in zip(extras, holding):
+            lam = w.weight(x)
+            row = rows[index[I]] = {index[I]: -lam}
+            for Ip in holding:
+                if Ip != I:
+                    row[index[Ip]] = lam if epsilon(I, Ip) == 1 else -lam
 
-    return ConnectionMatrix(basis=basis, entries=tuple(tuple(r) for r in entries))
+    return _from_rows(basis, rows, w.zero_scalar())

@@ -18,7 +18,9 @@ nondegenerate position (bounded against the powers of ``t`` by
 expected dependent sets at the witness (``"declared_dep"``) and at ``t = 0``
 (``"declared_dep_prime"``) as lists of index lists; declared sets are checked
 against what the rows actually realize, never trusted.  A general-position
-basis over ``aomoto_kita.MAX_GENERAL_BASIS`` = 500 frames is bad input.
+basis over ``aomoto_kita.MAX_GENERAL_BASIS`` = 500 frames is bad input, and
+so is a type whose projection system has over
+``orlik_solomon.MAX_PROJECTION_CELLS`` = 25000 cells.
 
 All output is byte-deterministic: the same invocation prints the same bytes.
 ``connection --jobs N`` is still accepted but has no effect.  Exit status is
@@ -32,6 +34,7 @@ In ``--format json`` mode errors are reported on stdout as
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -216,15 +219,8 @@ def render_fixture(
     doc = {
         "n": realization.n,
         "ell": realization.ell,
-        "rows": [
-            [render_scalar(e) for e in realization.row(i)]
-            for i in range(1, realization.n + 1)
-        ],
-        "weights": (
-            "generic"
-            if weights.is_generic
-            else [str(v) for v in weights.values]
-        ),
+        "rows": [[render_scalar(e) for e in realization.row(i)] for i in range(1, realization.n + 1)],
+        "weights": "generic" if weights.is_generic else [str(v) for v in weights.values],
     }
     if t_witness is not None:
         doc["t_witness"] = str(t_witness)
@@ -253,18 +249,11 @@ def _matrix_lines(row_basis, col_basis, entries) -> list[str]:
         for j in range(len(cols))
     ]
     label_w = max(len(x) for x in rows) if rows else 0
-    lines = [
-        " " * label_w
-        + "   "
-        + "  ".join(cols[j].ljust(widths[j]) for j in range(len(cols))).rstrip()
-    ]
-    for i, rlab in enumerate(rows):
-        lines.append(
-            rlab.ljust(label_w)
-            + " | "
-            + "  ".join(cells[i][j].ljust(widths[j]) for j in range(len(cols))).rstrip()
-        )
-    return lines
+
+    def line(label, sep, texts):
+        return label.ljust(label_w) + sep + "  ".join(map(str.ljust, texts, widths)).rstrip()
+
+    return [line("", "   ", cols)] + [line(r, " | ", row) for r, row in zip(rows, cells)]
 
 
 def _matrix_json(row_basis, col_basis, entries) -> dict:
@@ -502,6 +491,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+@functools.cache  # once per process: parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="gmarr",

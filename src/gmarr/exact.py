@@ -34,8 +34,10 @@ Operands recognised by their shape take shortcuts that return the same
 canonical object as the general route: a gcd with a single-term argument is
 the monic monomial of least exponents over both arguments' terms, an exact
 division by a single term shifts exponents and scales coefficients, and a
-product with an ``int`` or ``Fraction`` scales the coefficients.  The
-subresultant gcd runs only when both arguments have two or more terms.
+product with an ``int`` or ``Fraction`` scales the coefficients.  A product
+of two single terms is one term, with no product loop, and a difference is
+taken term by term, not as a sum with the negation.  The subresultant gcd
+runs only when both arguments have two or more terms.
 
 Monomials are ordered graded-lexicographically with ``l1 > l2 > ... > ln``;
 rendering follows that order descending, e.g. ``"l1^2 + 3*l1*l2 - 1/2"``.
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalarish = Union[int, Fraction, "MultiPoly", "RatFunc"]
@@ -220,18 +223,20 @@ class MultiPoly:
             return _from_terms(type(self), self.nvars, {(0,) * self.nvars: c} if c else {})
         return None
 
-    def __add__(self, other):
+    def _merge(self, other, op):  # op is add or sub, applied term by term
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in o.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
+            if s := op(terms.get(e, 0), c):
                 terms[e] = s
             else:
                 terms.pop(e, None)
         return _from_terms(type(self), self.nvars, _ints(terms))
+
+    def __add__(self, other):
+        return self._merge(other, add)
 
     __radd__ = __add__
 
@@ -239,16 +244,13 @@ class MultiPoly:
         return _from_terms(type(self), self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._merge(other, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -260,12 +262,19 @@ class MultiPoly:
             return NotImplemented
         if not self.terms or not o.terms:
             return _from_terms(type(self), self.nvars, {})
+        if len(self.terms) == 1 and len(o.terms) == 1:
+            # term times term: one exponent sum, one coefficient product
+            ((ea, ca),), ((eb, cb),) = self.terms.items(), o.terms.items()
+            c = ca * cb
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            return _from_terms(type(self), self.nvars, {tuple(map(add, ea, eb)): c})
         # multiply the smaller term list into the larger one
         a, b = (self.terms, o.terms) if len(self.terms) <= len(o.terms) else (o.terms, self.terms)
         terms: dict[tuple[int, ...], Fraction] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 s = terms.get(e, 0) + ca * cb
                 if s:
                     terms[e] = s
@@ -354,7 +363,7 @@ def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         ((eb, cb),) = b.terms.items()
         quot = {}
         for ea, ca in a.terms.items():
-            eq = tuple(x - y for x, y in zip(ea, eb))
+            eq = tuple(map(sub, ea, eb))
             if min(eq) < 0:
                 raise ValueError(f"({b}) does not divide ({a})")
             quot[eq] = _cdiv(ca, cb)

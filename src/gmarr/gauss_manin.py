@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .aomoto_kita import ConnectionMatrix, _general_basis, omega_general
+from .aomoto_kita import ConnectionMatrix, _from_rows, _general_basis, omega_general
 from .arrangement import (
     CombinatorialType,
     Realization,
@@ -205,23 +205,22 @@ def combined_omega(
         )
     if w is None:
         w = Weights.generic(n)
-    zero = w.zero_scalar()
     basis = _general_basis(n, ell)
-    acc = [[zero for _ in basis] for _ in basis]
     order = sorted(table)
     for J in order:
         m = table[J]
         if not (isinstance(m, int) and m >= 1):
             raise ValueError(f"multiplicity for {J} must be a positive integer")
+    acc: dict[int, dict[int, object]] = {}
     for J in order:
         m = table[J]
-        M = omega_general(J, n, ell, w)
-        for i in range(len(basis)):
-            row = M.entries[i]
-            for j in range(len(basis)):
-                if row[j]:
-                    acc[i][j] = acc[i][j] + m * row[j]
-    return ConnectionMatrix(basis=basis, entries=tuple(tuple(r) for r in acc))
+        for i, pairs in enumerate(omega_general(J, n, ell, w).nonzero):
+            if pairs:
+                row = acc.setdefault(i, {})
+                for j, x in pairs:
+                    term = m * x
+                    row[j] = term if (y := row.get(j)) is None else y + term
+    return _from_rows(basis, acc, w.zero_scalar())
 
 
 def solve_connection(P: ProjectionMatrix, B: ConnectionMatrix) -> ConnectionMatrix:

@@ -21,8 +21,13 @@ routine:
 * ``int`` exact division by ``divmod``, which raises ``ValueError`` on a
   nonzero remainder, as ``poly_exact_div`` does on a non-divisor.
 
-An update whose products are both zero is skipped, and a half-zero update
-computes only its nonzero product.
+No product with a zero factor is formed.  The elimination keeps the
+nonzero columns of each row: a row with a zero pivot-column entry rescales
+only its own nonzero entries, and any other row visits the union of its
+support and the pivot row's; every other entry keeps its value and type.
+``mat_mul`` sums only the nonzero products, in increasing inner index, and
+an entry with none is ``A[i][0] * B[0][j]``, the typed zero the dense
+product gives (a ``MultiPoly`` zero from a polynomial factor).
 
 Pivoting is deterministic: columns are processed left to right and the first
 row with a nonzero entry is chosen, so results are reproducible.
@@ -65,39 +70,42 @@ def fraction_free_echelon(matrix: Sequence[Sequence], ncols: int | None = None) 
     columns (useful for augmented systems); elimination always updates every
     column."""
     m = [list(row) for row in matrix]
+    # the columns of each row's nonzero entries, kept up to date
+    nz = [{j for j, x in enumerate(row) if x} for row in m]
     nr = len(m)
     order = list(range(nr))
-    width = len(m[0]) if nr else 0
     if ncols is None:
-        ncols = width
+        ncols = len(m[0]) if nr else 0
     pivots: list[tuple[int, int]] = []
     prev = None
     pr = 0
     for c in range(ncols):
-        piv = next((i for i in range(pr, nr) if m[i][c]), None)
+        piv = next((i for i in range(pr, nr) if c in nz[i]), None)
         if piv is None:
             continue
         if piv != pr:
             m[pr], m[piv] = m[piv], m[pr]
+            nz[pr], nz[piv] = nz[piv], nz[pr]
             order[pr], order[piv] = order[piv], order[pr]
         prow = m[pr]
         p = prow[c]
+        zero = p - p
+        # rows from pr on are zero left of c, so these are the columns > c
+        pcols = nz[pr] - {c}
+        pnz = [(j, prow[j]) for j in sorted(pcols)]
         for i in range(pr + 1, nr):
-            row = m[i]
-            f = row[c]
-            for j in range(c + 1, width):
-                a = row[j]
-                b = prow[j]
-                if f and b:
-                    e = p * a - f * b if a else -(f * b)
-                elif a:
-                    e = p * a
-                else:
-                    continue  # both products are zero: row[j] stays zero
-                if prev is not None:
-                    e = _exact_div(e, prev)
-                row[j] = e
-            row[c] = p - p  # domain zero
+            row, rnz = m[i], nz[i]
+            if c in rnz:  # f ≠ 0: both supports
+                f = row[c]
+                rnz.discard(c)
+                updates = [(j, p * row[j] - f * b if j in rnz else -(f * b)) for j, b in pnz]
+                updates += [(j, p * row[j]) for j in rnz - pcols]
+            else:
+                updates = [(j, p * row[j]) for j in rnz]
+            for j, e in updates:
+                row[j] = e = e if prev is None else _exact_div(e, prev)
+                (rnz.add if e else rnz.discard)(j)
+            row[c] = zero
         prev = p
         pivots.append((pr, c))
         pr += 1
@@ -121,22 +129,17 @@ def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]):
     if any(len(row) != k for row in A):
         raise ValueError("inner dimensions disagree")
     cols = len(B[0])
+    # the nonzero (column, entry) pairs of each row of B, listed once
+    nonzero = [[(j, b) for j, b in enumerate(brow) if b] for brow in B]
+    B0 = B[0]
     out = []
     for row in A:
-        orow = []
-        for j in range(cols):
-            acc = None
-            for s in range(k):
-                a = row[s]
-                b = B[s][j]
-                if not a or not b:
-                    continue
-                term = a * b
-                acc = term if acc is None else acc + term
-            if acc is None:
-                # every term was skipped, so row[0] or B[0][j] is falsy and
-                # this product is the zero of the right type
-                acc = row[0] * B[0][j]
-            orow.append(acc)
-        out.append(orow)
+        acc = [None] * cols
+        for a, pairs in zip(row, nonzero):
+            if a:
+                for j, b in pairs:
+                    term = a * b
+                    x = acc[j]
+                    acc[j] = term if x is None else x + term
+        out.append([row[0] * B0[j] if x is None else x for j, x in enumerate(acc)])
     return out

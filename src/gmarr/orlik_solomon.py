@@ -40,6 +40,12 @@ from .exact import poly_exact_div, poly_gcd, quotient
 from .linalg import _integer_row, fraction_free_echelon
 
 
+# Largest projection system, |nbc_ℓ| rows × (|nbc_{ℓ-1}| + non-frame
+# sources) columns: 140 × 149 single-term rows (a ladder path at n = 10,
+# ℓ = 4) take 0.27 s; the tests and the benchmark reach 40 × 38.
+MAX_PROJECTION_CELLS = 25_000
+
+
 class ResonantWeights(ValueError):
     """Concrete weights hit a nonresonance condition; carries the report."""
 
@@ -263,17 +269,25 @@ def projection_matrix(T: CombinatorialType, w: Weights) -> ProjectionMatrix:
     vector.  SpanDefect is raised when a frame's image is not a nonzero
     multiple of its own monomial, when a frame is listed twice or its row
     takes a pivot (the frames dependent modulo coboundaries), and when the
-    coboundaries miss a non-frame row.
+    coboundaries miss a non-frame row.  A system over
+    ``MAX_PROJECTION_CELLS`` is refused with ValueError before it is built.
     """
     if w.n != T.n:
         raise ValueError(f"weights are for n={w.n}, type has n={T.n}")
     ell = T.ell
     sources = _general_basis(T.n, ell)  # refuses an oversized basis first
+    betas = betanbc_frames(T)
+    frame_set = set(betas)
+    solved = [I for I in sources if I not in frame_set]
+    top = nbc_sets(T, ell)
+    ncols_d = len(nbc_sets(T, ell - 1))
+    if (cells := len(top) * (ncols_d + len(solved))) > MAX_PROJECTION_CELLS:
+        raise ValueError(f"the projection's elimination has {len(top)} rows and {ncols_d} + "
+                         f"{len(solved)} columns ({cells} cells): over the limit {MAX_PROJECTION_CELLS}")
     if not w.is_generic:
         report = stv_check(T, w)
         if not report.ok:
             raise ResonantWeights(report)
-    betas = betanbc_frames(T)
     if twice := [B for k, B in enumerate(betas) if B in betas[:k]]:
         raise SpanDefect(len(twice), f"the images of the frames {twice} are "
                          f"dependent modulo coboundaries in degree {ell}")
@@ -282,10 +296,6 @@ def projection_matrix(T: CombinatorialType, w: Weights) -> ProjectionMatrix:
         raise SpanDefect(len(bad), f"the images of the frames {bad} are not nonzero "
                          f"multiples of their own monomials in degree {ell}")
 
-    frame_set = set(betas)
-    solved = [I for I in sources if I not in frame_set]
-    top = nbc_sets(T, ell)
-    ncols_d = len(nbc_sets(T, ell - 1))
     zero = w.zero_scalar()
     dmat = a_lambda_matrix(T, w, ell - 1)
     by_label = {S: list(r) + [zero] * len(solved) for S, r in zip(top, dmat)}

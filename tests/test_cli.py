@@ -6,6 +6,7 @@ subprocess test exercises the ``python3 -m`` entry point.
 """
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -318,6 +319,52 @@ def test_projection_resonant_weights_exit_1(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_projection_size_limit_at_and_past(monkeypatch, capsys):
+    """The predicted size is the size of the system eliminated; a system
+    at the limit runs, one cell past it is refused in both formats."""
+    from gmarr import orlik_solomon
+
+    seen = []
+    eliminate = orlik_solomon.fraction_free_echelon
+
+    def recording(matrix, ncols):
+        seen.append((len(matrix), len(matrix[0])))
+        return eliminate(matrix, ncols)
+
+    monkeypatch.setattr(orlik_solomon, "fraction_free_echelon", recording)
+    code, out, _ = run(capsys, "projection", "--format", "json", fx("selberg.json"))
+    ((rows, cols),) = seen
+    assert code == 0
+    monkeypatch.setattr(orlik_solomon, "MAX_PROJECTION_CELLS", rows * cols)
+    assert run(capsys, "projection", "--format", "json", fx("selberg.json"))[:2] == (0, out)
+    monkeypatch.setattr(orlik_solomon, "MAX_PROJECTION_CELLS", rows * cols - 1)
+    named = f"has {rows} rows and "
+    cells = f"({rows * cols} cells): over the limit {rows * cols - 1}"
+    code, out, err = run(capsys, "projection", fx("selberg.json"))
+    assert code == 1 and out == "" and named in err and cells in err
+    code, out, _ = run(capsys, "projection", "--format", "json", fx("selberg.json"))
+    assert code == 1 and named in json.loads(out)["error"]
+    code, out, _ = run(capsys, "connection", "--format", "json", fx("selberg_path.json"))
+    assert code == 1 and cells in json.loads(out)["error"]
+    assert len(seen) == 2  # the refused systems were never built
+
+
+def test_oversized_projection_is_refused_fast(tmp_path, capsys):
+    # six parallel planes and eight others: 219 rows by 76 + 130 columns
+    rng = random.Random(3)
+    rows = [[str(-i), "0", "0", "1"] for i in range(6)]
+    rows += [[str(rng.randint(-9, 9) or 1) for _ in range(4)] for _ in range(8)]
+    f = tmp_path / "wide.json"
+    f.write_text(json.dumps({"n": 14, "ell": 3, "rows": rows, "weights": "generic"}))
+    for fmt in ("text", "json"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "projection", "--format", fmt, str(f))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        message = err if fmt == "text" else json.loads(out)["error"]
+        assert "has 219 rows and 76 + 130 columns (45114 cells): over the limit" in message
+
+
 def test_omega_general_text(capsys):
     code, out, err = run(capsys, "omega-general", "--n", "4", "--ell", "2", "--J", "3,4,5")
     assert code == 0 and err == ""
@@ -579,6 +626,35 @@ def test_usage_errors_exit_1(capsys):
         main(["omega-general", "--n", "4", "--ell", "2"])  # missing --J
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(capsys):
+    from gmarr.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["projection", "--weights", "neither", fx("triple_point.json")])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    code, out, err = run(capsys, "projection", "--format", "json", fx("triple_point.json"))
+    assert code == 0 and err == ""
+    assert json.loads(out)["command"] == "projection"
+
+
+def test_commands_in_one_process_print_as_in_separate_ones(capsys):
+    """The one parser carries no option from a call into the next: each
+    command prints what it prints in a fresh process."""
+    calls = [
+        ["projection", "--weights", "generic", "--format", "json", fx("selberg.json")],
+        ["projection", fx("selberg.json")],
+        ["connection", "--jobs", "3", fx("triple_point_path_1.json")],
+        ["omega-general", "--n", "4", "--ell", "2", "--J", "1,2,5"],
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    for argv, (code, out, err) in zip(calls, in_process):
+        proc = subprocess.run([sys.executable, "-m", "gmarr", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
 
 
 def test_output_is_deterministic(capsys):

@@ -1,0 +1,332 @@
+"""The sparse and single-term routes against dense, independent oracles.
+
+``linalg.mat_mul`` forms only the nonzero products, ``fraction_free_echelon``
+visits only the columns where an update product is nonzero, and
+``MultiPoly`` multiplies two single terms, subtracts and divides by a
+monomial without its general loops.  Each oracle here is written out in
+full: a dense triple loop for the product, the dense Bareiss loop for the
+elimination, and term-by-term dictionaries for the polynomial routes.  The
+checks compare values and the ``type`` of every entry and coefficient, so a
+fast route that returns an equal value of another type fails too.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _helpers import cofactor_det
+
+from gmarr import ConnectionMatrix, Weights, omega_general
+from gmarr.exact import MultiPoly, poly_exact_div
+from gmarr.linalg import fraction_free_echelon, mat_mul
+
+NVARS = 2
+
+
+def dense_mat_mul(A, B):
+    """Every cell visited: the sum of the nonzero products in inner order,
+    and ``A[i][0] * B[0][j]`` where there is none."""
+    out = []
+    for row in A:
+        out_row = []
+        for j in range(len(B[0])):
+            acc = None
+            for s in range(len(B)):
+                if row[s] and B[s][j]:
+                    acc = row[s] * B[s][j] if acc is None else acc + row[s] * B[s][j]
+            out_row.append(row[0] * B[0][j] if acc is None else acc)
+        out.append(out_row)
+    return out
+
+
+def dense_bareiss(matrix, ncols):
+    """The Bareiss loop over every cell right of the pivot column."""
+    m = [list(row) for row in matrix]
+    nr, width = len(m), len(m[0])
+    prev, pr = None, 0
+    for c in range(ncols):
+        piv = next((i for i in range(pr, nr) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[pr], m[piv] = m[piv], m[pr]
+        p = m[pr][c]
+        for i in range(pr + 1, nr):
+            f = m[i][c]
+            for j in range(c + 1, width):
+                a, b = m[i][j], m[pr][j]
+                if f and b:
+                    e = p * a - f * b if a else -(f * b)
+                elif a:
+                    e = p * a
+                else:
+                    continue
+                m[i][j] = e if prev is None else _divide(e, prev)
+            m[i][c] = p - p
+        prev, pr = p, pr + 1
+        if pr == nr:
+            break
+    return m
+
+
+def _divide(e, d):
+    if isinstance(e, int):
+        assert e % d == 0
+        return e // d
+    if isinstance(e, MultiPoly):
+        return poly_exact_div(e, d)
+    return e / d
+
+
+def _same(X, Y):
+    """Equal entries of the same types, cell by cell."""
+    assert len(X) == len(Y)
+    for rx, ry in zip(X, Y):
+        assert [(type(x), x) for x in rx] == [(type(y), y) for y in ry]
+
+
+def _stored_form(p: MultiPoly):
+    """Every coefficient nonzero, and an ``int`` exactly when integral."""
+    for c in p.terms.values():
+        assert c
+        assert (type(c) is int) == (Fraction(c).denominator == 1), p.terms
+
+
+# ---------------------------------------------------------------------------
+# entries: int, Fraction and MultiPoly, multi-term, with zeros of every type
+# ---------------------------------------------------------------------------
+
+_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def polys(draw, max_terms=3):
+    exps = st.tuples(*[st.integers(0, 2)] * NVARS)
+    terms = draw(st.dictionaries(exps, _coeffs, max_size=max_terms))
+    return MultiPoly(NVARS, terms)
+
+
+def _zeros(kind):
+    if kind == "multipoly":
+        return st.sampled_from([0, Fraction(0), MultiPoly.zero(NVARS)])
+    return st.sampled_from([0, Fraction(0)])
+
+
+def _nonzeros(kind):
+    if kind == "int":
+        return st.integers(-5, 5).filter(bool)
+    if kind == "fraction":
+        return _coeffs.filter(bool)
+    return polys().filter(bool)
+
+
+@st.composite
+def matrices(draw, kind, rows, cols):
+    M = [[draw(st.one_of(_zeros(kind), _nonzeros(kind))) for _ in range(cols)]
+         for _ in range(rows)]
+    # a zero row and a zero column, each half the time
+    if draw(st.booleans()):
+        M[draw(st.integers(0, rows - 1))] = [draw(_zeros(kind)) for _ in range(cols)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in M:
+            row[j] = draw(_zeros(kind))
+    return M
+
+
+@st.composite
+def products(draw):
+    kind = draw(st.sampled_from(["int", "fraction", "multipoly"]))
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    A = draw(matrices(kind, r, k))
+    B = draw(matrices(kind, k, c))
+    return A, B
+
+
+@given(products())
+@settings(max_examples=100, deadline=None)
+def test_mat_mul_matches_the_dense_triple_loop(AB):
+    A, B = AB
+    _same(mat_mul(A, B), dense_mat_mul(A, B))
+
+
+def test_mat_mul_cancellations_and_typed_zeros():
+    l1, l2 = MultiPoly.variable(NVARS, 1), MultiPoly.variable(NVARS, 2)
+    p, q = l1 + 2 * l2, l1 * l2 - Fraction(1, 2)
+    A = [[p, p, 0], [0, Fraction(0), MultiPoly.zero(NVARS)], [q, 0, l1]]
+    B = [[q, Fraction(0), l2], [-q, 0, l2], [l2, MultiPoly.zero(NVARS), 0]]
+    got = mat_mul(A, B)
+    _same(got, dense_mat_mul(A, B))
+    assert got[0][0] == 0 and type(got[0][0]) is MultiPoly  # p·q − p·q cancels
+    assert type(got[1][0]) is MultiPoly and type(got[1][1]) is Fraction  # 0·q, 0·0
+    assert type(got[0][1]) is MultiPoly  # no nonzero product: p·Fraction(0)
+
+
+# ---------------------------------------------------------------------------
+# Bareiss: rows with a zero and a nonzero entry in the pivot column
+# ---------------------------------------------------------------------------
+
+
+def _check_echelon(M, ncols):
+    ech = fraction_free_echelon(M, ncols)
+    _same(ech.rows, dense_bareiss(M, ncols))
+    # the read-off below the rank is the minor of the pivot rows (Sylvester)
+    pcols = [c for _, c in ech.pivots]
+    above = [M[i] for i in ech.order[: ech.rank]]
+    for r in range(ech.rank, len(M)):
+        for j in range(ncols, len(M[0])):
+            block = [[x[c] for c in pcols + [j]] for x in above + [M[ech.order[r]]]]
+            assert ech.rows[r][j] == cofactor_det(block), (r, j)
+    return ech
+
+
+def test_echelon_pivot_column_zero_in_some_rows():
+    # column 0: rows 2 and 4 hold zero, rows 1 and 3 do not; row 2 has
+    # entries where the pivot row is zero, row 3 cancels in column 2
+    M = [
+        [2, 0, 3, 0, 1],
+        [4, 1, 0, 0, 5],
+        [0, 0, 7, 2, 0],
+        [6, 0, 9, 0, 3],
+        [0, 5, 0, 0, 0],
+        [1, 0, 0, 4, 2],
+    ]
+    ech = _check_echelon(M, 3)
+    assert ech.rank == 3
+    l1, l2 = MultiPoly.variable(NVARS, 1), MultiPoly.variable(NVARS, 2)
+    z = MultiPoly.zero(NVARS)
+    P = [
+        [l1, z, l2, z, l1 * l2],
+        [l2, l1 + l2, z, z, l1],
+        [z, z, l1 * l1 - l2, l2, z],
+        [l1 * l2, z, l2 * l2, z, 2 * l1],
+        [z, 3 * l1, z, z, z],
+        [l2, z, z, l1, l2 - 1],
+    ]
+    _check_echelon(P, 3)
+    F = [[Fraction(x, 3) if x else 0 for x in row] for row in M]
+    _check_echelon(F, 3)
+
+
+@given(st.sampled_from(["int", "fraction", "multipoly"]), st.integers(2, 5),
+       st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_echelon_matches_the_dense_loop(kind, rows, ncols, tail, data):
+    M = data.draw(matrices(kind, rows, ncols + tail))
+    ech = fraction_free_echelon(M, ncols)
+    _same(ech.rows, dense_bareiss(M, ncols))
+
+
+# ---------------------------------------------------------------------------
+# MultiPoly: term times term, direct subtraction, division by a monomial
+# ---------------------------------------------------------------------------
+
+
+def _product_terms(a, b):
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + Fraction(ca) * Fraction(cb)
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def monomials(draw):
+    e = tuple(draw(st.integers(0, 2)) for _ in range(NVARS))
+    return MultiPoly(NVARS, {e: draw(_coeffs.filter(bool))})
+
+
+@given(monomials(), monomials())
+@settings(max_examples=100, deadline=None)
+def test_single_term_product(a, b):
+    p = a * b
+    assert type(p) is MultiPoly
+    assert p.terms == _product_terms(a, b)
+    _stored_form(p)
+
+
+def test_single_term_product_stores_integral_coefficients_as_int():
+    l1 = MultiPoly.variable(NVARS, 1)
+    p = (Fraction(3, 2) * l1) * (Fraction(2, 3) * l1)
+    assert p.terms == {(2, 0): 1} and type(p.terms[(2, 0)]) is int
+    q = (Fraction(1, 2) * l1) * (4 * l1)
+    assert type(q.terms[(2, 0)]) is int and q.terms[(2, 0)] == 2
+
+
+@given(polys(), polys())
+@settings(max_examples=100, deadline=None)
+def test_subtraction(a, b):
+    d = a - b
+    expected = {e: Fraction(a.terms.get(e, 0)) - Fraction(b.terms.get(e, 0))
+                for e in set(a.terms) | set(b.terms)}
+    assert d.terms == {e: c for e, c in expected.items() if c}
+    _stored_form(d)
+    zero = a - a
+    assert zero.terms == {} and not zero and type(zero) is MultiPoly
+    assert 1 - a == MultiPoly.const(NVARS, 1) - a
+
+
+def test_subtraction_cancels_to_int_coefficients():
+    l1 = MultiPoly.variable(NVARS, 1)
+    d = Fraction(5, 2) * l1 - Fraction(1, 2) * l1
+    assert d.terms == {(1, 0): 2} and type(d.terms[(1, 0)]) is int
+
+
+@given(monomials(), polys())
+@settings(max_examples=100, deadline=None)
+def test_division_by_a_monomial(m, q):
+    ((em, cm),) = m.terms.items()
+    p = m * q
+    got = poly_exact_div(p, m)
+    expected = {tuple(x - y for x, y in zip(e, em)): Fraction(c) / Fraction(cm)
+                for e, c in p.terms.items()}
+    assert got.terms == expected
+    _stored_form(got)
+
+
+@pytest.mark.parametrize("num, den", [
+    ({(1, 1): 1}, {(2, 0): 1}),       # l1^2 does not divide l1*l2
+    ({(1, 0): 1, (0, 1): 3}, {(0, 1): 2}),  # 2*l2 misses the l1 term
+    ({(0, 0): 4}, {(1, 0): 1}),       # a constant over l1
+])
+def test_division_by_a_non_dividing_monomial_raises(num, den):
+    with pytest.raises(ValueError, match="does not divide"):
+        poly_exact_div(MultiPoly(NVARS, num), MultiPoly(NVARS, den))
+
+
+def test_random_sparse_products_match_the_dense_loop():
+    """Larger, sparser matrices of single-term entries, as on the ladder."""
+    rng = random.Random(11)
+    l1, l2 = MultiPoly.variable(NVARS, 1), MultiPoly.variable(NVARS, 2)
+    z = MultiPoly.zero(NVARS)
+
+    def entry():
+        if rng.random() < 0.8:
+            return z
+        return rng.choice((-3, -1, 1, 2)) * l1 ** rng.randint(0, 2) * l2 ** rng.randint(0, 2)
+
+    for _ in range(5):
+        A = [[entry() for _ in range(12)] for _ in range(9)]
+        B = [[entry() for _ in range(7)] for _ in range(12)]
+        _same(mat_mul(A, B), dense_mat_mul(A, B))
+        _check_echelon([row + brow[:3] for row, brow in zip(A, B)], 8)
+
+
+# ---------------------------------------------------------------------------
+# connection blocks: the nonzero entries handed over without a scan
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, ell", [(5, 1), (6, 2), (6, 3)])
+def test_block_nonzero_entries_match_a_scan(n, ell):
+    """``omega_general`` fills ``nonzero`` from the entries it sets; a zero
+    weight makes some of them zero, and those must not be listed."""
+    for w in (Weights.generic(n), Weights.concrete([0] + list(range(1, n)))):
+        for J in itertools.combinations(range(1, n + 2), ell + 1):
+            M = omega_general(J, n, ell, w)
+            scan = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in M.entries)
+            assert M.nonzero == scan == ConnectionMatrix(M.basis, M.entries).nonzero, J

@@ -22,8 +22,10 @@ from gmarr import (
     PathError,
     ProjectionMatrix,
     Realization,
+    RealizationError,
     ResonantWeights,
     Weights,
+    affine_circuits,
     betanbc_frames,
     codim1_projection_closed_form,
     combined_omega,
@@ -37,7 +39,7 @@ from gmarr import (
     relative_dep,
     solve_connection,
 )
-from gmarr.exact import PathPoly, parse_path_poly
+from gmarr.exact import PathPoly, evaluate, parse_path_poly
 from gmarr.linalg import mat_mul
 from gmarr.reference import EXAMPLES, EXPECTED, render_scalar
 
@@ -547,8 +549,6 @@ def test_spectral_certificate_on_ladder_paths(rung):
 
 
 def test_connection_symbolic_evaluates_to_concrete():
-    from gmarr.exact import evaluate
-
     rng = random.Random(71)
     cases = [(_path(PATH_SELBERG), 3)]
     cases += [(ladder_path(random.Random(73), n, 3, 2), 2) for n in (6, 7)]
@@ -560,6 +560,48 @@ def test_connection_symbolic_evaluates_to_concrete():
             for rs, rn in zip(sym.entries, num.entries):
                 for s, c in zip(rs, rn):
                     assert evaluate(s, vals) == Fraction(c)
+
+
+def _witness_circuit_path(rng, n, ell):
+    """A path already degenerate at the witness t = 1, like the Selberg
+    path: u_1 = 0, u_2 = 0 and u_1 = u_2 meet in a codimension-two flat (a
+    triple point at ℓ = 2, three planes through a line at ℓ = 3), the
+    fourth hyperplane u_1 + 2·u_2 = t moves into that flat at t = 0, and the
+    other n − 4 are fixed with entries in ±[1, 9]."""
+    pad = [PathPoly([0])] * (ell - 2)
+    const = lambda *cs: [PathPoly([c]) for c in cs] + pad
+    fixed = [const(0, 1, 0), const(0, 0, 1), const(0, 1, -1),
+             [PathPoly([0, -1]), PathPoly([1]), PathPoly([2])] + pad]
+    while True:
+        rows = fixed + [[PathPoly([rng.choice((-1, 1)) * rng.randint(1, 9)])
+                         for _ in range(ell + 1)] for _ in range(n - 4)]
+        try:
+            return DegenerationPath(Realization(rows), 1)
+        except (PathError, RealizationError):
+            continue
+
+
+@pytest.mark.parametrize("n, ell", [(9, 2), (8, 3)], ids=str)
+def test_degenerate_witness_paths_with_multi_term_entries(n, ell):
+    """Affine circuits at the witness give multi-term entries, which the
+    ladder never has: symbolic Ω specialises to the concrete Ω at three
+    seeded weight vectors, and P·Ω = B·P over unreduced pairs."""
+    p = _witness_circuit_path(random.Random(n * ell), n, ell)
+    assert affine_circuits(p.T)
+    w = Weights.generic(n)
+    B = combined_omega(p.T, p.Tprime, multiplicities(p), n, ell, w)
+    P = projection_matrix(p.T, w)
+    omega = solve_connection(P, B)
+    assert max(len(x.terms) for row in P.numerators for x in row) > 1
+    Pp, Bp, Op = (pair_matrix(m.entries) for m in (P, B, omega))
+    assert pair_matrices_eq(pair_mul(Pp, Op), pair_mul(Bp, Pp))
+    rng = random.Random(n + ell)
+    for _ in range(3):
+        vals = random_nonresonant_weights(rng, p.T)
+        concrete, _ = connection_for_path(p, Weights.concrete(vals))
+        assert concrete.basis == omega.basis
+        for rs, rc in zip(omega.entries, concrete.entries):
+            assert [evaluate(s, vals) for s in rs] == [Fraction(c) for c in rc]
 
 
 def test_corrupted_multiplicity_detected_or_differs():
