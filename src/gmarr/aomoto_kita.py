@@ -100,12 +100,12 @@ def omega_general(
         raise ValueError(f"J = {J} must have ell + 1 = {ell + 1} elements")
     if not (1 <= J[0] and J[-1] <= n + 1):
         raise ValueError(f"J = {J} out of range 1..{n + 1}")
+    basis = _general_basis(n, ell)  # refuses an oversized basis before building weights
     if w is None:
         w = Weights.generic(n)
     elif w.n != n:
         raise ValueError(f"weights are for n={w.n}, expected n={n}")
 
-    basis = _general_basis(n, ell)
     index = {B: i for i, B in enumerate(basis)}
     rows: dict[int, dict[int, object]] = {}
     inf = n + 1

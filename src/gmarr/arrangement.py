@@ -135,16 +135,6 @@ class Realization:
             return (unit(1),) + (unit(0),) * self.ell
         raise ValueError(f"row index {i} out of range 1..{self.n + 1}")
 
-    @property
-    def normal_position(self) -> bool:
-        """Whether the first ℓ hyperplanes are linearly independent (the
-        normalization the source theory assumes for its moduli coordinates;
-        a convention, not a validity requirement)."""
-        if self.n < self.ell:
-            return False
-        # with the row at infinity, ± the minor of the first ℓ linear parts
-        return bool(self.minor(tuple(range(1, self.ell + 1)) + (self.n + 1,)))
-
     def minor(self, I: Iterable[int]):
         """Exact determinant of the rows indexed by the sorted (ℓ+1)-set I."""
         I = tuple(I)
@@ -154,24 +144,26 @@ class Realization:
             raise ValueError(f"index set {I} out of range 1..{self.n + 1}")
         return _det_small([list(self.row(i)) for i in I])
 
-    def specialize(self, t, *, allow_coincident: bool = False) -> "Realization":
-        """Evaluate a path realization at a parameter value."""
+    def specialize(self, t) -> "Realization":
+        """Evaluate a path realization at a parameter value.  Rows may
+        coincide only at t = 0, the degenerate end of a path; at any other t
+        coincident rows raise RealizationError."""
         if not self.is_path:
             raise ValueError("specialize applies to path realizations")
         t = _as_fraction(t)
         rows = [[e.evaluate(t) for e in r] for r in self.rows]
-        return Realization(rows, allow_coincident=allow_coincident)
+        return Realization(rows, allow_coincident=not t)
 
-    def type_at(self, t, *, allow_coincident: bool = False) -> "CombinatorialType":
-        """``compute_type(self.specialize(t, allow_coincident=...))``, computed
-        at most once per ``(t, allow_coincident)`` for the current rows."""
-        key = (_as_fraction(t), allow_coincident)
+    def type_at(self, t) -> "CombinatorialType":
+        """``compute_type(self.specialize(t))``, computed at most once per t
+        for the current rows."""
+        t = _as_fraction(t)
         if self._types is None:
             self._types = {}
-        rows, T = self._types.get(key, (None, None))
+        rows, T = self._types.get(t, (None, None))
         if rows is not self.rows:
-            T = compute_type(self.specialize(t, allow_coincident=allow_coincident))
-            self._types[key] = (self.rows, T)
+            T = compute_type(self.specialize(t))
+            self._types[t] = (self.rows, T)
         return T
 
 
@@ -306,7 +298,6 @@ def _matroid_of(T: CombinatorialType) -> _Matroid:
     return _Matroid(T.n + 1, T.ind, T.ell + 1)
 
 
-@lru_cache(maxsize=TYPE_CACHE_SIZE)
 def affine_circuits(T: CombinatorialType) -> tuple[tuple[int, ...], ...]:
     """Inclusion-minimal S ⊆ [n] that are dependent in the projective closure
     and have nonempty intersection (n+1 outside the closure of S), by size,
@@ -361,7 +352,6 @@ def nbc_sets(T: CombinatorialType, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=TYPE_CACHE_SIZE)
 def frames(T: CombinatorialType) -> tuple[tuple[int, ...], ...]:
     """All affinely independent ℓ-subsets of [n] (maximal independent sets)."""
     return tuple(
@@ -477,21 +467,28 @@ def betti_and_euler(T: CombinatorialType) -> BettiEuler:
 class Weights:
     """Either symbolic generic weights or a concrete rational weight vector.
 
-    ``weight(j)`` is a MultiPoly (generic) or Fraction (concrete); the weight
-    of the hyperplane at infinity (j = n+1) is always -(λ₁ + ... + λₙ).
+    λ₁..λₙ₊₁ and the zero and one of their ring are built once, in
+    ``__init__``: ``weight(j)`` returns the same MultiPoly (generic) or
+    Fraction (concrete) on every call, and the weight of the hyperplane at
+    infinity (j = n+1) is -(λ₁ + ... + λₙ).
     """
 
-    __slots__ = ("n", "values")
+    __slots__ = ("n", "values", "_lams", "_zero", "_one")
 
     def __init__(self, n: int, values: Sequence | None = None):
         self.n = n
         if values is None:
             self.values = None
+            self._zero, self._one = MultiPoly.zero(n), MultiPoly.const(n, 1)
+            lams = [MultiPoly.variable(n, j) for j in range(1, n + 1)]
         else:
             vals = tuple(_as_fraction(v) for v in values)
             if len(vals) != n:
                 raise ValueError(f"expected {n} weights, got {len(vals)}")
             self.values = vals
+            self._zero, self._one = Fraction(0), Fraction(1)
+            lams = list(vals)
+        self._lams = (*lams, -sum(lams, self._zero))
 
     @classmethod
     def generic(cls, n: int) -> "Weights":
@@ -509,34 +506,16 @@ class Weights:
     def weight(self, j: int):
         if not 1 <= j <= self.n + 1:
             raise ValueError(f"weight index {j} out of range 1..{self.n + 1}")
-        if self.is_generic:
-            if j <= self.n:
-                return MultiPoly.variable(self.n, j)
-            return MultiPoly(
-                self.n,
-                {
-                    tuple(1 if i == k else 0 for i in range(self.n)): Fraction(-1)
-                    for k in range(self.n)
-                },
-            )
-        if j <= self.n:
-            return self.values[j - 1]
-        return -sum(self.values, Fraction(0))
+        return self._lams[j - 1]
 
     def weight_sum(self, S: Iterable[int]):
-        total = None
-        for j in S:
-            w = self.weight(j)
-            total = w if total is None else total + w
-        if total is None:
-            return Fraction(0) if not self.is_generic else MultiPoly.zero(self.n)
-        return total
+        return sum(map(self.weight, S), self._zero)
 
     def zero_scalar(self):
-        return MultiPoly.zero(self.n) if self.is_generic else Fraction(0)
+        return self._zero
 
     def one_scalar(self):
-        return MultiPoly.const(self.n, 1) if self.is_generic else Fraction(1)
+        return self._one
 
     def __repr__(self):
         if self.is_generic:

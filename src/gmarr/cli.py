@@ -289,8 +289,8 @@ def _pick_weights(ns, file_weights: Weights) -> Weights:
     return file_weights
 
 
-def _note_row_order(realization: Realization) -> None:
-    if not realization.normal_position:
+def _note_row_order(T: CombinatorialType) -> None:
+    if not T.normal_position:
         print(
             "note: the first ell rows are linearly dependent; computations "
             "keep the input order as given",
@@ -300,8 +300,8 @@ def _note_row_order(realization: Realization) -> None:
 
 def _cmd_analyze(ns) -> str:
     r, _ = parse_arrangement_file(_read_file(ns.file))
-    _note_row_order(r)
     T = compute_type(r)
+    _note_row_order(T)
     frames = betanbc_frames(T)
     edges = dense_edges(T)
     be = betti_and_euler(T)
@@ -331,9 +331,9 @@ def _cmd_analyze(ns) -> str:
 
 def _cmd_check_weights(ns) -> tuple[str, int]:
     r, w_file = parse_arrangement_file(_read_file(ns.file))
-    _note_row_order(r)
     w = _pick_weights(ns, w_file)
     T = compute_type(r)
+    _note_row_order(T)
     report = stv_check(T, w)
     text = [f"weights: {'generic' if report.generic else 'concrete'}"]
     text.append("nonresonance conditions (dense edge: weight sum not in 0,1,2,...):")
@@ -365,9 +365,9 @@ def _cmd_check_weights(ns) -> tuple[str, int]:
 
 def _cmd_projection(ns) -> str:
     r, w_file = parse_arrangement_file(_read_file(ns.file))
-    _note_row_order(r)
     w = _pick_weights(ns, w_file)
     T = compute_type(r)
+    _note_row_order(T)
     P = projection_matrix(T, w)
     text = [
         f"projection matrix ({len(P.row_basis)} x {len(P.col_basis)}); "
@@ -399,13 +399,13 @@ def _cmd_omega_general(ns) -> str:
 
 def _path_from_file(ns) -> tuple[PathFile, DegenerationPath]:
     pf = parse_path_file(_read_file(ns.file))
-    _note_row_order(pf.realization)
     dp = DegenerationPath(
         pf.realization,
         pf.t_witness,
         declared_T=pf.declared_T,
         declared_Tprime=pf.declared_Tprime,
     )
+    _note_row_order(dp.T)  # the type at the witness, which the computation uses
     return pf, dp
 
 

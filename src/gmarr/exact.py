@@ -171,7 +171,7 @@ class MultiPoly:
         """The variable ``l{j}`` (1-based)."""
         if not 1 <= j <= nvars:
             raise ValueError(f"variable index {j} out of range 1..{nvars}")
-        e = tuple(1 if i == j - 1 else 0 for i in range(nvars))
+        e = (0,) * (j - 1) + (1,) + (0,) * (nvars - j)
         return _from_terms(cls, nvars, {e: 1})
 
     # -- predicates ------------------------------------------------------

@@ -77,6 +77,8 @@ class DegenerationPath:
 
     Both types come from ``realization.type_at``, so they are computed once
     and kept on the realization for ``multiplicities`` to check against.
+    Rows may coincide at t = 0 only: the witness is nonzero, and there
+    ``type_at`` refuses coincident rows.
     Declared types, when supplied, are checked against the computed ones;
     mismatches are reported with the offending subsets.
     """
@@ -104,7 +106,7 @@ class DegenerationPath:
             T = realization.type_at(t_star)
         except RealizationError as e:
             raise PathError(f"path is degenerate at the witness t = {t_star}: {e}") from e
-        Tprime = realization.type_at(0, allow_coincident=True)
+        Tprime = realization.type_at(0)
         if declared_T is not None and declared_T != T:
             raise PathError(_declared_mismatch("T at the witness", declared_T, T))
         if declared_Tprime is not None and declared_Tprime != Tprime:
@@ -169,7 +171,7 @@ def multiplicities(p: DegenerationPath) -> MultiplicityTable:
             )
         items.append((J, order))
     t_w = p.realization.type_at(p.t_witness)
-    t_0 = p.realization.type_at(0, allow_coincident=True)
+    t_0 = p.realization.type_at(0)
     if t_w != p.T or t_0 != p.Tprime:
         raise PathError(
             "stored endpoint types do not match a recomputation from the rows"
@@ -203,9 +205,9 @@ def combined_omega(
             f"multiplicity keys do not match dep(T',T); missing {missing}, "
             f"unexpected {extra}"
         )
+    basis = _general_basis(n, ell)
     if w is None:
         w = Weights.generic(n)
-    basis = _general_basis(n, ell)
     order = sorted(table)
     for J in order:
         m = table[J]
@@ -327,6 +329,7 @@ def codim1_projection_closed_form(
         raise ValueError(f"type has {len(T.dep)} dependent subsets; need exactly 1")
     (K,) = T.dep
     n, ell = T.n, T.ell
+    sources = _general_basis(n, ell)
     if w is None:
         w = Weights.generic(n)
     elif w.n != n:
@@ -335,7 +338,6 @@ def codim1_projection_closed_form(
         report = stv_check(T, w)
         if not report.ok:
             raise ResonantWeights(report)
-    sources = _general_basis(n, ell)
     cols = betanbc_frames(T)
     zero = w.zero_scalar()
 

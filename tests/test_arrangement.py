@@ -21,7 +21,7 @@ from gmarr.arrangement import (
     nbc_sets,
     stv_check,
 )
-from gmarr.exact import PathPoly, parse_path_poly, parse_rational
+from gmarr.exact import MultiPoly, PathPoly, parse_path_poly, parse_rational
 from gmarr.reference import EXAMPLES, EXPECTED
 
 from _helpers import (
@@ -112,9 +112,9 @@ def test_ragged_rows_rejected():
 
 
 def test_normal_position_flag():
-    assert Realization(TRIPLE_POINT).normal_position
+    assert compute_type(Realization(TRIPLE_POINT)).normal_position
     # first two rows of the second example are parallel lines
-    assert not Realization(SELBERG).normal_position
+    assert not compute_type(Realization(SELBERG)).normal_position
 
 
 def test_path_specialize_and_minor():
@@ -127,10 +127,22 @@ def test_path_specialize_and_minor():
     at1 = r.specialize(1)
     assert not at1.is_path
     assert at1.row(4) == (F(-1), F(0), F(1))
-    at0 = r.specialize(0, allow_coincident=True)
-    assert at0.row(4) == (F(0), F(0), F(1))
-    with pytest.raises(RealizationError):
-        r.specialize(0)  # rows collapse together without the escape hatch
+    at0 = r.specialize(0)  # rows 3 and 4 coincide at the degenerate end
+    assert at0.row(4) == (F(0), F(0), F(1)) == at0.row(3)
+
+
+def test_rows_coincide_only_at_zero():
+    def family(c):  # rows 3 and 4 coincide where c vanishes
+        rows = [["0", "1", "0"], ["-1", "1", "0"], ["0", "0", "1"], [c, "0", "1"], ["0", "t", "-1"]]
+        return Realization(path_rows(rows))
+
+    at_zero = family("-t")
+    assert compute_type(at_zero.specialize(0)) == at_zero.type_at(0)
+    at_two = family("2 - t")
+    assert at_two.specialize(0).row(4) == (F(2), F(0), F(1))
+    for call in (at_two.specialize, at_two.type_at):
+        with pytest.raises(RealizationError, match="rows 3 and 4 are projectively equal"):
+            call(2)
 
 
 def test_specialize_requires_path():
@@ -366,6 +378,46 @@ def test_concrete_weights_from_a_generator():
     w = Weights.concrete(F(k, 3) for k in (1, 2, 4))
     assert w.n == 3 and w.values == (F(1, 3), F(2, 3), F(4, 3))
     assert w.weight(4) == F(-7, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_weights_match_an_independent_formula(n, data):
+    """λ_j and λ_S against formulas of their own: exponent dicts for generic
+    weights, Fraction sums for concrete ones (one weight always zero)."""
+    values = data.draw(st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=9), min_size=n, max_size=n))
+    values[data.draw(st.integers(0, n - 1))] = F(0)
+    S = data.draw(st.lists(st.integers(1, n + 1), unique=True))
+
+    def unit(k):  # exponent vector of l_k
+        return tuple(int(i == k - 1) for i in range(n))
+
+    def generic_sum(S):  # λ_{n+1} = -(l1 + ... + ln)
+        coeff = {k: (k in S) - (n + 1 in S) for k in range(1, n + 1)}
+        return MultiPoly(n, {unit(k): c for k, c in coeff.items() if c})
+
+    def concrete_sum(S):
+        return sum((values[j - 1] for j in S if j <= n), F(0)) - (
+            sum(values, F(0)) if n + 1 in S else F(0))
+
+    for w, formula, ring in ((Weights.generic(n), generic_sum, MultiPoly),
+                             (Weights.concrete(values), concrete_sum, F)):
+        for j in range(1, n + 2):
+            assert w.weight(j) == formula((j,)) and type(w.weight(j)) is ring
+            assert w.weight(j) is w.weight(j)  # stored, not rebuilt
+        total = w.weight_sum(S)
+        assert total == formula(S) and type(total) is ring
+        zero = w.weight_sum(())
+        assert type(zero) is ring and zero == 0 and zero == w.zero_scalar()
+        assert type(w.one_scalar()) is ring and w.one_scalar() == 1
+        if ring is MultiPoly:
+            assert total.nvars == zero.nvars == n
+        for j in (0, n + 2):
+            with pytest.raises(ValueError, match="out of range"):
+                w.weight(j)
+            with pytest.raises(ValueError, match="out of range"):
+                w.weight_sum((1, j))
 
 
 # ---------------------------------------------------------------------------

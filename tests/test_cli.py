@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from gmarr import CombinatorialType, InconsistentSystem, Weights
+from gmarr import COVER_CAVEAT, CombinatorialType, InconsistentSystem, Weights
 from gmarr.cli import (
     InputError,
     main,
@@ -457,6 +457,63 @@ def test_multiplicity_selberg_json(capsys):
     )
     assert len(doc["dep_prime"]) == 11
     assert doc["caveat"].startswith("cover relation not verified")
+
+
+ROW_ORDER_NOTE = (
+    "note: the first ell rows are linearly dependent; computations keep the "
+    "input order as given\n"
+)
+
+# rows 1 and 2 are parallel at the witness t = 1 and at t = 0, but not along
+# the whole path: their minor with the row at infinity is ±(t^2 - t)
+PARALLEL_AT_WITNESS = {
+    "n": 4, "ell": 2, "weights": "generic", "t_witness": "1",
+    "rows": [["0", "1", "0"], ["-1", "1", "t^2 - t"], ["0", "0", "1"], ["-2*t", "1", "1"]],
+}
+
+
+def test_row_order_note_follows_the_witness_type(tmp_path, capsys):
+    f = tmp_path / "parallel.json"
+    f.write_text(json.dumps(PARALLEL_AT_WITNESS))
+    mult_text = (
+        "dep at witness t = 1: (1,2,5)\n"
+        "dep at t = 0: (1,2,5) (1,3,4)\n"
+        "multiplicities (vanishing order of each new minor):\n"
+        "  (1,3,4): 1\n"
+        f"note: {COVER_CAVEAT}\n"
+    )
+    code, out, err = run(capsys, "multiplicity", str(f))
+    assert (code, out, err) == (0, mult_text, ROW_ORDER_NOTE)
+    code, out, err = run(capsys, "connection", str(f))
+    assert (code, err) == (0, ROW_ORDER_NOTE)
+    assert out == mult_text + (
+        "connection matrix on the frame basis of the type (2 x 2)\n"
+        "        (2,4)    (3,4)\n"
+        "(2,4) | 0        0\n"
+        "(3,4) | l3 + l4  l1 + l3 + l4\n"
+    )
+    for command in ("multiplicity", "connection"):
+        code, out, err = run(capsys, command, "--format", "json", str(f))
+        assert code == 0 and err == ROW_ORDER_NOTE
+        assert json.loads(out)["dep"] == [[1, 2, 5]]
+
+
+def test_rejected_path_prints_only_its_error(tmp_path, capsys):
+    # the first two rows stay dependent, but the path is refused before the note
+    cases = [
+        (dict(EXAMPLES["selberg_path"], t_witness="0"), "witness parameter value must be nonzero"),
+        (dict(PARALLEL_AT_WITNESS, declared_dep=[[1, 3, 4]]), "declared type for T at the witness"),
+    ]
+    for doc, message in cases:
+        f = tmp_path / "rejected.json"
+        f.write_text(json.dumps(doc))
+        for command in ("multiplicity", "connection"):
+            code, out, err = run(capsys, command, str(f))
+            assert code == 1 and out == ""
+            assert err.startswith(f"error: {message}") and err.count("\n") == 1
+            code, out, err = run(capsys, command, "--format", "json", str(f))
+            assert code == 1 and err == ""
+            assert json.loads(out)["error"].startswith(message)
 
 
 def test_connection_triple_point_2_json(capsys):

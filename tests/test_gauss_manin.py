@@ -337,17 +337,17 @@ def test_type_at_matches_compute_type(name):
     p = _path(ex["rows"], ex["t_witness"])
     r = p.realization
     assert r.type_at(p.t_witness) == compute_type(r.specialize(p.t_witness)) == p.T
-    at_zero = compute_type(r.specialize(0, allow_coincident=True))
-    assert r.type_at(0, allow_coincident=True) == at_zero == p.Tprime
+    at_zero = compute_type(r.specialize(0))
+    assert r.type_at(0) == at_zero == p.Tprime
 
 
 def test_type_at_follows_replaced_rows():
     r = _path(PATH_T1).realization
     other = _path(PATH_T3).realization
-    assert r.type_at(0, allow_coincident=True) != other.type_at(0, allow_coincident=True)
+    assert r.type_at(0) != other.type_at(0)
     r.rows = other.rows
     assert r.type_at(1) == other.type_at(1)
-    assert r.type_at(0, allow_coincident=True) == other.type_at(0, allow_coincident=True)
+    assert r.type_at(0) == other.type_at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +538,7 @@ def test_spectral_certificate_on_ladder_paths(rung):
     # |βnbc(T)| − |βnbc(A₀)|, A₀ the arrangement at t = 0 with X merged
     n, ell, _ = rung
     p = ladder_path(random.Random(sum(rung)), *rung)
-    at0 = p.realization.specialize(0, allow_coincident=True)
+    at0 = p.realization.specialize(0)
     unit = (0,) * ell + (1,)
     X = tuple(i for i in range(1, n + 1) if at0.row(i) == unit)
     omega, _ = connection_for_path(p)
@@ -546,6 +546,26 @@ def test_spectral_certificate_on_ladder_paths(rung):
     merged = [at0.row(i) for i in range(1, n + 1) if i not in X[1:]]
     A0 = compute_type(Realization(merged))
     assert rank == len(betanbc_frames(p.T)) - len(betanbc_frames(A0))
+
+
+@pytest.mark.parametrize("rung, rank", [((6, 3, 2), 3), ((7, 2, 3), 6)], ids=str)
+def test_spectral_certificate_on_relabelled_ladder_paths(rung, rank):
+    """Seeded relabellings of the finite hyperplanes of two ladder rungs: X
+    follows the relabelling with ∞ fixed, and Ω² = λ_σ(X)·Ω holds with the
+    rank of the path in its own labels."""
+    n, ell, _ = rung
+    p = ladder_path(random.Random(sum(rung)), *rung)
+    rows = p.realization.rows
+    at0 = p.realization.specialize(0)
+    X = tuple(i for i in range(1, n + 1) if at0.row(i) == (0,) * ell + (1,))
+    rng = random.Random(n * ell)
+    for _ in range(4):
+        perm = rng.sample(range(1, n + 1), n)
+        new_label = {old: new for new, old in enumerate(perm, 1)}
+        q = DegenerationPath(Realization([rows[old - 1] for old in perm]), p.t_witness)
+        omega, _ = connection_for_path(q)
+        lam = Weights.generic(n).weight_sum(sorted(new_label[i] for i in X))
+        assert _spectral_rank(omega, lam) == rank, perm
 
 
 def test_connection_symbolic_evaluates_to_concrete():

@@ -679,7 +679,7 @@ def test_per_type_caches_stay_within_their_bound():
     from gmarr.arrangement import TYPE_CACHE_SIZE, affine_circuits, flats_and_dense_edges
 
     caches = [v for v in vars(arrangement).values() if callable(getattr(v, "cache_info", None))]
-    assert len(caches) == 7
+    assert len(caches) == 5
     rng = random.Random(53)
     types = []
     while len(types) < TYPE_CACHE_SIZE + 3:
