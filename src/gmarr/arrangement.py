@@ -40,23 +40,30 @@ class NotMatroidal(ValueError):
 
 
 def _det_small(rows: list[list]) -> object:
-    """Cofactor-expansion determinant; works over any commutative ring."""
+    """Cofactor-expansion determinant; works over any commutative ring.
+
+    Each level expands along the row with the most zeros, the first on a tie
+    (so a matrix without zeros expands along row 0), and skips a zero entry
+    with its subtree: the row at infinity (1, 0, …, 0) and a path's unit
+    rows then cost one recursive call instead of one per column."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    nonzero = [sum(map(bool, row)) for row in rows]
+    r = nonzero.index(min(nonzero))
     total = None
-    for j, a in enumerate(rows[0]):
+    for j, a in enumerate(rows[r]):
         if not a:
             continue
-        sub = [[r[c] for c in range(n) if c != j] for r in rows[1:]]
+        sub = [[row[c] for c in range(n) if c != j] for i, row in enumerate(rows) if i != r]
         term = a * _det_small(sub)
-        if j % 2:
+        if (r + j) % 2:
             term = -term
         total = term if total is None else total + term
     if total is None:
-        total = rows[0][0] - rows[0][0]  # zero of the entry ring
+        total = rows[r][0] - rows[r][0]  # zero of the entry ring
     return total
 
 

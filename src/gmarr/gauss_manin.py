@@ -39,7 +39,7 @@ COVER_CAVEAT = (
 
 
 # Limit on (bits of the witness's numerator or denominator) × (highest power
-# of t in the rows).  Seven rows of degree 1000 take about 1.5 s to specialise
+# of t in the rows).  Seven rows of degree 1000 take 1.1–1.5 s to specialise
 # and type at a 65-bit witness, and minutes at 2^20.
 MAX_WITNESS_BITS = 2**16
 

@@ -1,11 +1,13 @@
 """The sparse and single-term routes against dense, independent oracles.
 
 ``linalg.mat_mul`` forms only the nonzero products, ``fraction_free_echelon``
-visits only the columns where an update product is nonzero, and
+visits only the columns where an update product is nonzero,
+``arrangement._det_small`` expands along its sparsest row, and
 ``MultiPoly`` multiplies two single terms, subtracts and divides by a
 monomial without its general loops.  Each oracle here is written out in
 full: a dense triple loop for the product, the dense Bareiss loop for the
-elimination, and term-by-term dictionaries for the polynomial routes.  The
+elimination, the row-0 cofactor expansion of ``_helpers`` for the
+determinant, and term-by-term dictionaries for the polynomial routes.  The
 checks compare values and the ``type`` of every entry and coefficient, so a
 fast route that returns an equal value of another type fails too.
 """
@@ -20,8 +22,8 @@ from hypothesis import strategies as st
 
 from _helpers import cofactor_det
 
-from gmarr import ConnectionMatrix, Weights, omega_general
-from gmarr.exact import MultiPoly, poly_exact_div
+from gmarr import ConnectionMatrix, Realization, Weights, arrangement, omega_general
+from gmarr.exact import MultiPoly, PathPoly, poly_exact_div
 from gmarr.linalg import fraction_free_echelon, mat_mul
 
 NVARS = 2
@@ -218,6 +220,100 @@ def test_echelon_matches_the_dense_loop(kind, rows, ncols, tail, data):
     M = data.draw(matrices(kind, rows, ncols + tail))
     ech = fraction_free_echelon(M, ncols)
     _same(ech.rows, dense_bareiss(M, ncols))
+
+
+# ---------------------------------------------------------------------------
+# determinants: the sparsest-row expansion against the row-0 cofactor oracle
+# ---------------------------------------------------------------------------
+
+# ring: (zero, one, nonzero entries)
+_DET_ENTRIES = {
+    int: (0, 1, st.integers(-4, 4).filter(bool)),
+    Fraction: (Fraction(0), Fraction(1), _coeffs.filter(bool)),
+    PathPoly: (PathPoly(), PathPoly.const(1),
+               st.lists(_coeffs, max_size=3).map(PathPoly).filter(bool)),
+}
+
+
+@st.composite
+def square_matrices(draw):
+    """A matrix over one ring, about half its entries zero, with up to three
+    rows overwritten at any index: a zero row, a unit row, or a row zero
+    outside a few columns, which is then often the sparsest row."""
+    ring = draw(st.sampled_from(list(_DET_ENTRIES)))
+    n = draw(st.integers(1, 6))
+    zero, one, entry = _DET_ENTRIES[ring]
+    cell = st.one_of(st.just(zero), entry)
+    M = [[draw(cell) for _ in range(n)] for _ in range(n)]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
+        shape = draw(st.sampled_from(["zero", "unit", "sparse"]))
+        if shape == "zero":
+            M[i] = [zero] * n
+        elif shape == "unit":
+            j = draw(st.integers(0, n - 1))
+            M[i] = [one if c == j else zero for c in range(n)]
+        else:
+            keep = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+            M[i] = [draw(entry) if c in keep else zero for c in range(n)]
+    return ring, M
+
+
+def _counted_det(M):
+    """``_det_small(M)`` and the number of calls it made, the recursive ones
+    included: they go through the module global, which is wrapped here."""
+    det, calls = arrangement._det_small, 0
+
+    def counting(rows):
+        nonlocal calls
+        calls += 1
+        return det(rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arrangement, "_det_small", counting)
+        value = arrangement._det_small(M)
+    return value, calls
+
+
+def _sparsest_row_calls(M):
+    """Calls made by an expansion along the first row with the fewest nonzero
+    entries, one per nonzero entry of that row, down to 2×2."""
+    n = len(M)
+    if n <= 2:
+        return 1
+    counts = [len([a for a in row if a]) for row in M]
+    r = counts.index(min(counts))
+    return 1 + sum(
+        _sparsest_row_calls([row[:j] + row[j + 1 :] for i, row in enumerate(M) if i != r])
+        for j in range(n)
+        if M[r][j]
+    )
+
+
+@given(square_matrices())
+@settings(max_examples=150, deadline=None)
+def test_det_small_matches_the_cofactor_oracle(ring_M):
+    ring, M = ring_M
+    value, calls = _counted_det(M)
+    assert value == cofactor_det(M)
+    assert type(value) is ring  # a zero determinant is the zero of the ring
+    assert calls == _sparsest_row_calls(M)
+
+
+def test_det_small_sparsest_row_at_an_odd_index():
+    # row 1 is the only sparsest row: expanding along it makes the sign
+    # (−1)^(1+j), not (−1)^j
+    M = [[2, 3, 5, 7], [0, 0, 4, 0], [1, 8, 6, 9], [3, 2, 2, 5]]
+    assert arrangement._det_small(M) == cofactor_det(M) == -4 * cofactor_det(
+        [[2, 3, 7], [1, 8, 9], [3, 2, 5]])
+
+
+def test_det_small_calls_on_closure_minors():
+    """A 4×4 minor containing the row at infinity (1, 0, 0, 0) expands along
+    it: one 3×3 call and its three 2×2 calls.  A dense minor expands along
+    row 0: 1 + 4 + 4·3 calls."""
+    r = Realization([[1, 2, -3, 4], [-2, 5, 1, 3], [3, -1, 2, 7], [4, 3, -5, 1]])
+    assert _counted_det([list(r.row(i)) for i in (1, 2, 3, 5)])[1] == 5
+    assert _counted_det([list(r.row(i)) for i in (1, 2, 3, 4)])[1] == 17
 
 
 # ---------------------------------------------------------------------------
