@@ -196,14 +196,6 @@ class CombinatorialType:
         self._hash = hash((n, ell, self.dep))
 
     @property
-    def ind(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            I
-            for I in itertools.combinations(range(1, self.n + 2), self.ell + 1)
-            if I not in self.dep
-        )
-
-    @property
     def normal_position(self) -> bool:
         I0 = tuple(range(1, self.ell + 1)) + (self.n + 1,)
         return I0 not in self.dep
@@ -243,7 +235,8 @@ def compute_type(r: Realization) -> CombinatorialType:
 
 
 class _Matroid:
-    """Rank-(ℓ+1) matroid on [n+1] given by its set of bases."""
+    """Rank-(ℓ+1) matroid on [n+1], held as its family of independent sets:
+    every subset of a basis, the empty set included."""
 
     def __init__(self, ground: int, bases: Sequence[tuple[int, ...]], full_rank: int):
         if not bases:
@@ -253,56 +246,39 @@ class _Matroid:
             )
         self.ground = ground
         self.full_rank = full_rank
-        self.bases = tuple(frozenset(b) for b in bases)
-        self._rank_memo: dict[frozenset, int] = {}
-
-    def rank(self, S: Iterable[int]) -> int:
-        S = frozenset(S)
-        cached = self._rank_memo.get(S)
-        if cached is not None:
-            return cached
-        best = 0
-        size = len(S)
-        cap = min(size, self.full_rank)
-        for B in self.bases:
-            k = len(S & B)
-            if k > best:
-                best = k
-                if best == cap:
-                    break
-        self._rank_memo[S] = best
-        return best
-
-    def independent(self, S: Iterable[int]) -> bool:
-        S = frozenset(S)
-        return self.rank(S) == len(S)
+        level = {frozenset(B) for B in bases}
+        indep = set(level)
+        for _ in range(full_rank):
+            level = {S - {x} for S in level for x in S}
+            indep |= level
+        self.indep = frozenset(indep)
 
     def closure(self, S: Iterable[int]) -> frozenset:
+        """Closure of an independent S: S with every x that makes it dependent."""
         S = frozenset(S)
-        r = self.rank(S)
-        out = set(S)
-        for x in range(1, self.ground + 1):
-            if x not in out and self.rank(S | {x}) == r:
-                out.add(x)
-        return frozenset(out)
+        return S | {x for x in range(1, self.ground + 1) if S | {x} not in self.indep}
 
     def circuits_within(self, X: Iterable[int]) -> list[frozenset]:
-        """Inclusion-minimal dependent subsets of X."""
+        """Inclusion-minimal dependent subsets of X (dependent sets whose
+        one-smaller subsets are all independent), by size, then
+        lexicographically."""
         X = sorted(X)
-        found: list[frozenset] = []
-        max_size = min(len(X), self.full_rank + 1)
-        for size in range(1, max_size + 1):
-            for S in itertools.combinations(X, size):
-                fs = frozenset(S)
-                if any(c <= fs for c in found):
-                    continue
-                if size > self.full_rank or self.rank(fs) < size:  # dependent by size or rank
-                    found.append(fs)
-        return found
+        return [
+            C
+            for size in range(1, min(len(X), self.full_rank + 1) + 1)
+            for C in map(frozenset, itertools.combinations(X, size))
+            if C not in self.indep and all(C - {x} in self.indep for x in C)
+        ]
+
 
 @lru_cache(maxsize=TYPE_CACHE_SIZE)
 def _matroid_of(T: CombinatorialType) -> _Matroid:
-    return _Matroid(T.n + 1, T.ind, T.ell + 1)
+    bases = [
+        I
+        for I in itertools.combinations(range(1, T.n + 2), T.ell + 1)
+        if I not in T.dep
+    ]
+    return _Matroid(T.n + 1, bases, T.ell + 1)
 
 
 def affine_circuits(T: CombinatorialType) -> tuple[tuple[int, ...], ...]:
@@ -310,12 +286,12 @@ def affine_circuits(T: CombinatorialType) -> tuple[tuple[int, ...], ...]:
     and have nonempty intersection (n+1 outside the closure of S), by size,
     then lexicographically."""
     m = _matroid_of(T)
-    inf = T.n + 1
-    # a circuit C has rank |C| − 1, and one of ℓ+2 elements spans the closure
+    # C ∖ {min C} spans the circuit C, so n+1 is outside the closure of C
+    # exactly when adding it to C ∖ {min C} leaves an independent set
     return tuple(
         tuple(sorted(C))
-        for C in m.circuits_within(range(1, inf))
-        if len(C) <= T.ell + 1 and m.rank(C | {inf}) == len(C)
+        for C in m.circuits_within(range(1, T.n + 1))
+        if C - {min(C)} | {T.n + 1} in m.indep
     )
 
 
@@ -336,9 +312,7 @@ def _broken_circuits(T: CombinatorialType) -> dict[tuple[int, ...], int]:
 
 
 def _affine_independent(T: CombinatorialType, S: Iterable[int]) -> bool:
-    m = _matroid_of(T)
-    S = frozenset(S)
-    return m.rank(S | {T.n + 1}) == len(S) + 1
+    return frozenset(S) | {T.n + 1} in _matroid_of(T).indep
 
 
 @lru_cache(maxsize=TYPE_CACHE_SIZE)
@@ -368,17 +342,13 @@ def frames(T: CombinatorialType) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def nbc_frames(T: CombinatorialType) -> tuple[tuple[int, ...], ...]:
-    return nbc_sets(T, T.ell)
-
-
 @lru_cache(maxsize=TYPE_CACHE_SIZE)
 def betanbc_frames(T: CombinatorialType) -> tuple[tuple[int, ...], ...]:
     """nbc frames B such that for every k there is an H < B[k] outside B with
     (B ∖ {B[k]}) ∪ {H} still a frame."""
     frame_set = set(frames(T))
     out = []
-    for B in nbc_frames(T):
+    for B in nbc_sets(T, T.ell):
         ok = True
         for k, jk in enumerate(B):
             if not any(
@@ -412,43 +382,18 @@ def flats_and_dense_edges(T: CombinatorialType) -> tuple[Flat, ...]:
     members share a circuit of the restriction); rank-1 flats are dense.
     """
     m = _matroid_of(T)
-    flats: dict[frozenset, int] = {}
-    for r in range(1, T.ell + 1):
-        for S in itertools.combinations(range(1, T.n + 2), r):
-            if not m.independent(S):
-                continue
-            cl = m.closure(S)
-            if cl not in flats:
-                flats[cl] = r
-    out = []
-    for members, r in flats.items():
-        out.append(Flat(tuple(sorted(members)), r, _is_dense(m, members, r)))
+    flats = {m.closure(S): len(S) for S in m.indep if 0 < len(S) <= T.ell}
+    out = [Flat(tuple(sorted(X)), r, _is_dense(m, X)) for X, r in flats.items()]
     out.sort(key=lambda f: (f.rank, f.members))
     return tuple(out)
 
 
-def _is_dense(m: _Matroid, members: frozenset, rank: int) -> bool:
-    if rank == 1:
-        return True
-    if len(members) <= rank:
-        # independent flat: restriction is a Boolean matroid, disconnected
-        return False
-    # union-find over the circuits of the restriction
-    parent = {x: x for x in members}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c in m.circuits_within(members):
-        it = iter(c)
-        first = find(next(it))
-        for y in it:
-            parent[find(y)] = first
-    roots = {find(x) for x in members}
-    return len(roots) == 1
+def _is_dense(m: _Matroid, members: frozenset) -> bool:
+    # "x = y, or a circuit holds both" is an equivalence relation whose classes
+    # are the connected components (Oxley, Matroid Theory, Prop. 4.1.2), so
+    # the restriction is connected when the circuits through one member cover it
+    least = min(members)
+    return members == {least}.union(*(C for C in m.circuits_within(members) if least in C))
 
 
 def dense_edges(T: CombinatorialType) -> tuple[Flat, ...]:

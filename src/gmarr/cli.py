@@ -39,7 +39,7 @@ import json
 import sys
 
 from . import reference
-from .aomoto_kita import omega_general
+from .aomoto_kita import _general_basis, omega_general
 from .arrangement import (
     CombinatorialType,
     Realization,
@@ -240,10 +240,11 @@ def _label(S) -> str:
     return "(" + ",".join(str(x) for x in S) + ")"
 
 
-def _matrix_lines(row_basis, col_basis, entries) -> list[str]:
-    rows = [_label(r) for r in row_basis]
-    cols = [_label(c) for c in col_basis]
-    cells = [[render_scalar(e) for e in row] for row in entries]
+def _matrix_lines(matrix: dict) -> list[str]:
+    """The text table of a matrix as ``_matrix_json`` rendered it."""
+    rows = [_label(r) for r in matrix["row_basis"]]
+    cols = [_label(c) for c in matrix["col_basis"]]
+    cells = matrix["entries"]
     widths = [
         max([len(cols[j])] + [len(cells[i][j]) for i in range(len(rows))])
         for j in range(len(cols))
@@ -365,17 +366,18 @@ def _cmd_check_weights(ns) -> tuple[str, int]:
 
 def _cmd_projection(ns) -> str:
     r, w_file = parse_arrangement_file(_read_file(ns.file))
+    _general_basis(r.n, r.ell)  # refuses an oversized basis before the type is computed
     w = _pick_weights(ns, w_file)
     T = compute_type(r)
     _note_row_order(T)
     P = projection_matrix(T, w)
+    matrix = _matrix_json(P.row_basis, P.col_basis, P.entries)
     text = [
         f"projection matrix ({len(P.row_basis)} x {len(P.col_basis)}); "
         "rows: general-position frames, cols: frames of the type"
     ]
-    text += _matrix_lines(P.row_basis, P.col_basis, P.entries)
-    doc = {"command": "projection"}
-    doc.update(_matrix_json(P.row_basis, P.col_basis, P.entries))
+    text += _matrix_lines(matrix)
+    doc = {"command": "projection", **matrix}
     return _emit(ns, text, doc)
 
 
@@ -390,15 +392,14 @@ def _parse_J(raw: str) -> tuple[int, ...]:
 def _cmd_omega_general(ns) -> str:
     J = _parse_J(ns.J)
     M = omega_general(J, ns.n, ns.ell)
+    matrix = _matrix_json(M.basis, M.basis, M.entries)
     text = [f"general-position connection block for J = {_label(J)}"]
-    text += _matrix_lines(M.basis, M.basis, M.entries)
-    doc = {"command": "omega-general", "J": list(J)}
-    doc.update(_matrix_json(M.basis, M.basis, M.entries))
+    text += _matrix_lines(matrix)
+    doc = {"command": "omega-general", "J": list(J), **matrix}
     return _emit(ns, text, doc)
 
 
-def _path_from_file(ns) -> tuple[PathFile, DegenerationPath]:
-    pf = parse_path_file(_read_file(ns.file))
+def _degeneration_path(pf: PathFile) -> DegenerationPath:
     dp = DegenerationPath(
         pf.realization,
         pf.t_witness,
@@ -406,7 +407,7 @@ def _path_from_file(ns) -> tuple[PathFile, DegenerationPath]:
         declared_Tprime=pf.declared_Tprime,
     )
     _note_row_order(dp.T)  # the type at the witness, which the computation uses
-    return pf, dp
+    return dp
 
 
 def _mult_payload(dp: DegenerationPath, mult) -> tuple[list[str], dict]:
@@ -430,7 +431,7 @@ def _mult_payload(dp: DegenerationPath, mult) -> tuple[list[str], dict]:
 
 
 def _cmd_multiplicity(ns) -> str:
-    _, dp = _path_from_file(ns)
+    dp = _degeneration_path(parse_path_file(_read_file(ns.file)))
     mult = multiplicities(dp)
     text, payload = _mult_payload(dp, mult)
     doc = {"command": "multiplicity", "n": dp.T.n, "ell": dp.T.ell}
@@ -439,18 +440,22 @@ def _cmd_multiplicity(ns) -> str:
 
 
 def _cmd_connection(ns) -> str:
-    pf, dp = _path_from_file(ns)
+    pf = parse_path_file(_read_file(ns.file))
+    # refuses an oversized basis before the path is typed
+    _general_basis(pf.realization.n, pf.realization.ell)
+    dp = _degeneration_path(pf)
     w = _pick_weights(ns, pf.weights)
     omega, mult = connection_for_path(dp, w)
+    matrix = _matrix_json(omega.basis, omega.basis, omega.entries)
     text, payload = _mult_payload(dp, mult)
     text.append(
         f"connection matrix on the frame basis of the type "
         f"({len(omega.basis)} x {len(omega.basis)})"
     )
-    text += _matrix_lines(omega.basis, omega.basis, omega.entries)
+    text += _matrix_lines(matrix)
     doc = {"command": "connection", "n": dp.T.n, "ell": dp.T.ell}
     doc.update(payload)
-    doc.update(_matrix_json(omega.basis, omega.basis, omega.entries))
+    doc.update(matrix)
     return _emit(ns, text, doc)
 
 

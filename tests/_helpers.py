@@ -190,6 +190,31 @@ def brute_central_circuits(vectors, n) -> list[tuple[int, ...]]:
     return out
 
 
+def brute_flats(vectors, ell) -> dict[tuple[int, ...], tuple[int, bool]]:
+    """Each rank-1..ℓ flat of the closure mapped to (rank, dense), from ranks
+    alone.  The closure of S is every x with r(S ∪ {x}) = r(S); a flat X of
+    rank r is dense when no nonempty proper A ⊂ X has r(A) + r(X ∖ A) = r
+    (X has no separator), which does not go through circuits."""
+    ground = sorted(vectors)
+    flats: dict[tuple[int, ...], int] = {}
+    for size in range(1, ell + 1):
+        for S in itertools.combinations(ground, size):
+            r = brute_rank(vectors, S)
+            X = tuple(x for x in ground if brute_rank(vectors, S + (x,)) == r)
+            flats.setdefault(X, r)
+    out = {}
+    for X, r in flats.items():
+        first, rest = X[0], X[1:]  # A holds X[0]; X ∖ A is then nonempty
+        out[X] = r, not any(
+            brute_rank(vectors, (first,) + A)
+            + brute_rank(vectors, tuple(x for x in rest if x not in A))
+            == r
+            for k in range(len(rest))
+            for A in itertools.combinations(rest, k)
+        )
+    return out
+
+
 def brute_nbc(r: Realization, q: int) -> list[tuple[int, ...]]:
     """Degree-q standard monomials: affinely independent q-subsets of [n]
     containing no broken circuit (circuit minus its least element)."""
@@ -452,13 +477,22 @@ def betti_oracle(r: Realization, primes) -> tuple[list[int], int]:
 # ---------------------------------------------------------------------------
 
 
-def random_realization(rng: random.Random, n: int, ell: int) -> Realization:
-    """Rejection-sample a full-rank realization with small rational entries."""
+def random_realization(rng: random.Random, n: int, ell: int, forced: int = 0) -> Realization:
+    """Rejection-sample a full-rank realization with small rational entries.
+
+    The last ``forced`` rows are each a combination of two earlier rows, or of
+    one earlier row and the row at infinity (a hyperplane parallel to it), so
+    they force circuits, dense edges and non-affine circuits."""
     while True:
         rows = [
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ell + 1)]
-            for _ in range(n)
+            for _ in range(n - forced)
         ]
+        infinity = [Fraction(1)] + [Fraction(0)] * ell
+        for _ in range(forced):
+            a, b = rng.sample(rows + [infinity], 2)
+            c, d = (rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(2))
+            rows.append([c * x + d * y for x, y in zip(a, b)])
         try:
             r = Realization(rows)
         except RealizationError:

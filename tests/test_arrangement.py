@@ -11,11 +11,13 @@ from gmarr.arrangement import (
     Realization,
     RealizationError,
     Weights,
+    _matroid_of,
     affine_circuits,
     betanbc_frames,
     betti_and_euler,
     compute_type,
     dense_edges,
+    flats_and_dense_edges,
     frames,
     general_position_type,
     nbc_sets,
@@ -26,7 +28,11 @@ from gmarr.reference import EXAMPLES, EXPECTED
 
 from _helpers import (
     betti_oracle,
+    brute_central_circuits,
+    brute_circuits,
+    brute_flats,
     brute_nbc,
+    closure_vectors,
     cofactor_det,
     good_primes,
     random_realization,
@@ -332,6 +338,23 @@ def test_dense_edges_selberg():
     S = compute_type(Realization(SELBERG))
     members = tuple(f.members for f in dense_edges(S))
     assert members == EXPECTED["selberg dense edges"]
+
+
+def test_flats_and_circuits_match_rank_oracles():
+    # half the realizations force circuits: rows combined from two earlier
+    # rows, or parallel to an earlier one
+    rng = random.Random(17)
+    for n, ell in ((5, 2), (6, 2), (5, 3), (6, 3)):
+        for k in range(8):
+            r = random_realization(rng, n, ell, forced=k % 2 * (n - ell - 1))
+            T = compute_type(r)
+            vectors = closure_vectors(r)
+            expected = sorted(brute_flats(vectors, ell).items(), key=lambda f: (f[1][0], f[0]))
+            got = [(f.members, (f.rank, f.dense)) for f in flats_and_dense_edges(T)]
+            assert got == expected, T
+            assert affine_circuits(T) == tuple(brute_central_circuits(vectors, n)), T
+            circuits = _matroid_of(T).circuits_within(range(1, n + 2))
+            assert [tuple(sorted(C)) for C in circuits] == brute_circuits(vectors, range(1, n + 2))
 
 
 def test_stv_generic_is_symbolic():

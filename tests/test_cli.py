@@ -7,6 +7,7 @@ subprocess test exercises the ``python3 -m`` entry point.
 
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -363,6 +364,60 @@ def test_oversized_projection_is_refused_fast(tmp_path, capsys):
         assert code == 1
         message = err if fmt == "text" else json.loads(out)["error"]
         assert "has 219 rows and 76 + 130 columns (45114 cells): over the limit" in message
+
+
+def test_oversized_general_basis_is_refused_before_typing(tmp_path, monkeypatch, capsys):
+    # n = 60, ell = 5: typing would test C(61, 6) minors before the refusal
+    from gmarr import arrangement
+    import gmarr.cli as cli_mod
+
+    def untyped(r):
+        raise AssertionError("the type was computed")
+
+    monkeypatch.setattr(arrangement, "compute_type", untyped)
+    monkeypatch.setattr(cli_mod, "compute_type", untyped)
+    rng = random.Random(5)
+    rows = [[str(rng.randint(-50, 50)) for _ in range(6)] for _ in range(60)]
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"n": 60, "ell": 5, "rows": rows, "weights": "generic"}))
+    path = tmp_path / "wide_path.json"
+    rows[0][0] = "t"
+    path.write_text(
+        json.dumps({"n": 60, "ell": 5, "rows": rows, "weights": "generic", "t_witness": "1"})
+    )
+    message = ("the general-position basis for n=60, ell=5 has C(59, 5) = 5006386 "
+               "frames: over the limit 500")
+    for command, f in (("projection", wide), ("connection", path)):
+        code, out, err = run(capsys, command, str(f))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        code, out, err = run(capsys, command, "--format", "json", str(f))
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"error": message}
+
+
+def _table_cells(lines: list[str]) -> tuple[list[str], list[list[str]]]:
+    """Row labels and cells of a text table, cut at the offsets where the
+    header's column labels start."""
+    header, *rows = lines
+    starts = [m.start() for m in re.finditer(r"\(", header)]
+    bounds = list(zip(starts, starts[1:] + [None]))
+    labels = [row[: starts[0]].removesuffix(" | ").rstrip() for row in rows]
+    return labels, [[row[a:b].rstrip() for a, b in bounds] for row in rows]
+
+
+def test_text_and_json_tables_carry_the_same_cells(capsys):
+    runs = [("projection", name) for name in ARRANGEMENT_FILES]
+    runs += [("connection", name) for name in PATH_FILES]
+    for command, name in runs:
+        code, text, _ = run(capsys, command, fx(name))
+        assert code == 0
+        code, out, _ = run(capsys, command, "--format", "json", fx(name))
+        assert code == 0
+        doc = json.loads(out)
+        table = text.splitlines()[-len(doc["row_basis"]) - 1 :]
+        labels, cells = _table_cells(table)
+        assert labels == ["(" + ",".join(map(str, r)) + ")" for r in doc["row_basis"]]
+        assert cells == doc["entries"], (command, name)
 
 
 def test_omega_general_text(capsys):
