@@ -11,8 +11,8 @@ complement varies along a one-parameter degeneration of the arrangement:
   matroid data (circuits, frames, nbc/betanbc sets), flats, dense edges,
   Betti numbers and the nonresonance check.
 * ``orlik_solomon`` — the graded algebra with its no-broken-circuit basis,
-  straightening, the twisted differential, cocycles and the projection
-  matrix onto the degenerate type's top cohomology.
+  straightening, the twisted differential and the projection matrix onto
+  the degenerate type's top cohomology.
 * ``aomoto_kita`` — general-position connection matrices for each dependent
   index set.
 * ``gauss_manin`` — degeneration paths, vanishing-order multiplicities, the
@@ -62,7 +62,6 @@ from .orlik_solomon import (
     a_lambda_matrix,
     projection_matrix,
     straighten,
-    zeta,
 )
 
 __all__ = [
@@ -101,6 +100,5 @@ __all__ = [
     "solve_connection",
     "stv_check",
     "straighten",
-    "zeta",
     "__version__",
 ]

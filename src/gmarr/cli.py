@@ -208,29 +208,6 @@ def parse_path_file(data) -> PathFile:
     return PathFile(r, w, witness, declared_T, declared_Tprime)
 
 
-def render_fixture(
-    realization: Realization,
-    weights: Weights,
-    t_witness=None,
-    declared_T: CombinatorialType | None = None,
-    declared_Tprime: CombinatorialType | None = None,
-) -> str:
-    """Serialize back to the file format; parse(render_fixture(x)) == x."""
-    doc = {
-        "n": realization.n,
-        "ell": realization.ell,
-        "rows": [[render_scalar(e) for e in realization.row(i)] for i in range(1, realization.n + 1)],
-        "weights": "generic" if weights.is_generic else [str(v) for v in weights.values],
-    }
-    if t_witness is not None:
-        doc["t_witness"] = str(t_witness)
-    if declared_T is not None:
-        doc["declared_dep"] = [list(J) for J in sorted(declared_T.dep)]
-    if declared_Tprime is not None:
-        doc["declared_dep_prime"] = [list(J) for J in sorted(declared_Tprime.dep)]
-    return json.dumps(doc, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------

@@ -8,10 +8,9 @@ of [n]; the defining relations are
 
 so every element rewrites uniquely onto the monomials indexed by nbc sets
 (*straightening*).  An element in that basis is a plain dict from nbc sets
-to nonzero coefficients.  On top of that sit the twisted differential a_λ∧·,
-the cocycles ζ(B) attached to betanbc frames, and the projection matrix
-carrying the general-position top cohomology basis onto the one of a
-degenerate type.
+to nonzero coefficients.  On top of that sit the twisted differential a_λ∧·
+and the projection matrix carrying the general-position top cohomology
+basis onto the one of a degenerate type.
 
 Scalars follow the weight mode: MultiPoly for generic weights, Fraction for
 concrete ones; the projection matrix is kept over one common denominator.
@@ -31,7 +30,6 @@ from .arrangement import (
     Weights,
     _affine_independent,
     _broken_circuits,
-    _matroid_of,
     betanbc_frames,
     nbc_sets,
     stv_check,
@@ -58,7 +56,7 @@ class ResonantWeights(ValueError):
 
 
 class SpanDefect(RuntimeError):
-    """The cocycles together with the coboundaries fail to span top degree."""
+    """The frames' images together with the coboundaries fail to span top degree."""
 
     def __init__(self, defect: int, message: str):
         self.defect = defect
@@ -162,6 +160,7 @@ def a_lambda_matrix(T: CombinatorialType, w: Weights, q: int):
     row_index = {S: i for i, S in enumerate(rows)}
     zero = w.zero_scalar()
     matrix = [[zero for _ in cols] for _ in rows]
+    rewrite = _straightener(T).rewrite
     for cidx, S in enumerate(cols):
         acc: dict[tuple[int, ...], object] = {}
         for j in range(1, T.n + 1):
@@ -170,46 +169,14 @@ def a_lambda_matrix(T: CombinatorialType, w: Weights, q: int):
             smaller = sum(1 for s in S if s < j)
             lam = w.weight(j)
             scalar = -lam if smaller % 2 else lam
-            _wedge_front(S, j, scalar, T, acc)
+            for key, val in rewrite(tuple(sorted(S + (j,)))).items():
+                term = scalar * val
+                cur = acc.get(key)
+                acc[key] = term if cur is None else cur + term
         for key, val in acc.items():
             if val:
                 matrix[row_index[key]][cidx] = val
     return matrix
-
-
-def _wedge_front(S: tuple[int, ...], j: int, scalar, T, acc) -> None:
-    """Accumulate scalar · a_{sorted(S ∪ {j})} straightened into acc."""
-    eng = _straightener(T)
-    piece = tuple(sorted(S + (j,)))
-    for key, val in eng.rewrite(piece).items():
-        term = scalar * val
-        cur = acc.get(key)
-        acc[key] = term if cur is None else cur + term
-
-
-def zeta(B: Iterable[int], T: CombinatorialType, w: Weights) -> dict:
-    """Cocycle of a betanbc frame: ∧_p Σ {λ_i a_i : i in the flat of B[p:]},
-    as a dict from nbc ℓ-sets to nonzero weight-scalar coefficients."""
-    B = tuple(B)
-    if B not in betanbc_frames(T):
-        raise ValueError(f"{B} is not a betanbc frame of this type")
-    if w.n != T.n:
-        raise ValueError(f"weights are for n={w.n}, type has n={T.n}")
-    m = _matroid_of(T)
-    acc: dict[tuple[int, ...], object] = {(): w.one_scalar()}
-    for p in range(T.ell):
-        flat = sorted(x for x in m.closure(B[p:]) if x <= T.n)
-        nxt: dict[tuple[int, ...], object] = {}
-        for S, c in acc.items():
-            for i in flat:
-                if i in S:
-                    continue
-                bigger = sum(1 for s in S if s > i)
-                lam = w.weight(i)
-                scalar = c * (-lam if bigger % 2 else lam)
-                _wedge_front(S, i, scalar, T, nxt)
-        acc = {k: v for k, v in nxt.items() if v}
-    return acc
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ five-line arrangement with a doubled vanishing order.  ``EXAMPLES`` holds
 their input files (``fixtures/`` holds the same documents as JSON, and the
 tests check that they agree) and ``EXPECTED`` the expected values, matrices
 as canonical rendered strings.  Each check recomputes one artifact from
-scratch and compares exactly; there is no tolerance.
+scratch and compares exactly; there is no tolerance.  The spectral checks
+certify each worked path's connection matrix Ω: with X the edge that
+collapses, Ω² = λ_X·Ω and tr Ω = r·λ_X, so Ω/λ_X is a projection of rank r.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .gauss_manin import (
     multiplicities,
     relative_dep,
 )
+from .linalg import mat_mul
 from .orlik_solomon import projection_matrix
 
 
@@ -142,6 +145,13 @@ EXPECTED = {
         ("l3 + l4 + l5", "0"),
         ("0", "l3 + l4 + l5"),
     ),
+    # per path: the collapsing edge X (n + 1 is infinity), λ_X and the rank
+    "spectral": {
+        "triple_point_path_1": ((3, 4, 5), "-l1 - l2", 1),
+        "triple_point_path_2": ((1, 2), "l1 + l2", 1),
+        "triple_point_path_3": ((1, 2, 3, 4), "l1 + l2 + l3 + l4", 2),
+        "selberg_path": ((3, 4, 5), "l3 + l4 + l5", 2),
+    },
 }
 
 
@@ -180,6 +190,29 @@ def _compare(name: str, got) -> CheckResult:
     return CheckResult(name, False, f"expected {want!r}, got {got!r}")
 
 
+def _spectral(stem: str, omega) -> CheckResult:
+    """Ω² = λ_X·Ω and tr Ω = r·λ_X, over the numerators of Ω (its entries
+    are polynomials in the weights), with X, λ_X and r from EXPECTED."""
+    name = f"spectral {stem}"
+    X, lam_text, rank = EXPECTED["spectral"][stem]
+    w = Weights.generic(len(EXAMPLES[stem]["rows"]))
+    lam = w.weight_sum(X)
+    if render_scalar(lam) != lam_text:
+        return CheckResult(name, False, f"lambda_X is {render_scalar(lam)}, expected {lam_text}")
+    if omega is None:
+        return CheckResult(name, False, "the path has no connection matrix")
+    if not all(x.den.is_one() for row in omega.entries for x in row):
+        return CheckResult(name, False, "an entry of the connection matrix has a denominator")
+    N = [[x.num for x in row] for row in omega.entries]
+    if mat_mul(N, N) != [[lam * x for x in row] for row in N]:
+        return CheckResult(name, False, "the connection matrix squared is not lambda_X times it")
+    trace = sum((row[i] for i, row in enumerate(N)), w.zero_scalar())
+    if trace != lam * rank:
+        detail = f"the trace is {render_scalar(trace)}, expected {rank}*({lam_text})"
+        return CheckResult(name, False, detail)
+    return CheckResult(name, True)
+
+
 def run_checks() -> list[CheckResult]:
     """Recompute the full worked-example suite and compare to expectations."""
     out: list[CheckResult] = []
@@ -208,6 +241,7 @@ def run_checks() -> list[CheckResult]:
     ]:
         out.append(_compare(name, _rendered(omega_general(J, 4, 2).entries)))
 
+    omegas = {}
     for k in (1, 2, 3):
         dp = _path(f"triple_point_path_{k}")
         if dp.T != T:
@@ -220,6 +254,7 @@ def run_checks() -> list[CheckResult]:
             continue
         omega, _ = connection_for_path(dp)
         out.append(_compare(f"connection T{k}", _rendered(omega.entries)))
+        omegas[f"triple_point_path_{k}"] = omega
 
     S = compute_type(_realization("selberg"))
     w5 = Weights.generic(5)
@@ -243,6 +278,9 @@ def run_checks() -> list[CheckResult]:
     out.append(_compare("selberg multiplicities", mult.items))
     omega_s, _ = connection_for_path(dp)
     out.append(_compare("selberg connection", _rendered(omega_s.entries)))
+    omegas["selberg_path"] = omega_s
+
+    out.extend(_spectral(stem, omegas.get(stem)) for stem in EXPECTED["spectral"])
 
     return out
 

@@ -16,15 +16,14 @@ from pathlib import Path
 
 import pytest
 
-from gmarr import COVER_CAVEAT, CombinatorialType, InconsistentSystem, Weights
+from gmarr import COVER_CAVEAT, InconsistentSystem
 from gmarr.cli import (
     InputError,
     main,
     parse_arrangement_file,
     parse_path_file,
-    render_fixture,
 )
-from gmarr.reference import EXAMPLES, EXPECTED
+from gmarr.reference import EXAMPLES, EXPECTED, render_scalar
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -48,7 +47,7 @@ def fx(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# file parsing and serialization
+# file parsing
 # ---------------------------------------------------------------------------
 
 
@@ -59,39 +58,25 @@ def test_fixtures_equal_the_golden_examples():
         assert doc == EXAMPLES[stem], stem
 
 
-def test_arrangement_files_round_trip():
-    for name in ARRANGEMENT_FILES:
-        data = (FIXTURES / name).read_bytes()
-        r, w = parse_arrangement_file(data)
-        text = render_fixture(r, w)
-        r2, w2 = parse_arrangement_file(text)
-        assert render_fixture(r2, w2) == text
-        assert r2.n == r.n and r2.ell == r.ell
-        assert w2.is_generic == w.is_generic
-
-
-def test_path_files_round_trip():
-    for name in PATH_FILES:
-        data = (FIXTURES / name).read_bytes()
-        pf = parse_path_file(data)
-        text = render_fixture(
-            pf.realization,
-            pf.weights,
-            t_witness=pf.t_witness,
-            declared_T=pf.declared_T,
-            declared_Tprime=pf.declared_Tprime,
-        )
-        pf2 = parse_path_file(text)
-        assert pf2.t_witness == pf.t_witness
-        assert pf2.declared_T == pf.declared_T
-        assert pf2.declared_Tprime == pf.declared_Tprime
-        assert render_fixture(
-            pf2.realization,
-            pf2.weights,
-            t_witness=pf2.t_witness,
-            declared_T=pf2.declared_T,
-            declared_Tprime=pf2.declared_Tprime,
-        ) == text
+def test_parsed_fixtures_render_back_to_the_files():
+    """What a file parses to renders back to the file's strings: every row
+    entry through ``render_scalar``, the weights, and for a path file the
+    witness and the declared dependent sets."""
+    for f in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(f.read_text())
+        if "t_witness" in doc:
+            pf = parse_path_file(f.read_bytes())
+            r, w = pf.realization, pf.weights
+            assert str(pf.t_witness) == doc["t_witness"], f.name
+            for key, T in [("declared_dep", pf.declared_T),
+                           ("declared_dep_prime", pf.declared_Tprime)]:
+                declared = {tuple(J) for J in doc[key]} if key in doc else None
+                assert (None if T is None else T.dep) == declared, (f.name, key)
+        else:
+            r, w = parse_arrangement_file(f.read_bytes())
+        rows = [[render_scalar(e) for e in r.row(i)] for i in range(1, r.n + 1)]
+        assert rows == doc["rows"], f.name
+        assert ("generic" if w.is_generic else [str(v) for v in w.values]) == doc["weights"], f.name
 
 
 def test_selberg_path_file_declares_limit_type():
@@ -707,6 +692,25 @@ def test_verify_all_checks_pass(capsys):
     assert lines[-1].endswith("checks, all passed")
     assert all(line.startswith("ok   ") for line in lines[:-1])
     assert len(lines) >= 20
+    assert {f"ok   spectral {stem}" for stem in EXPECTED["spectral"]} <= set(lines)
+
+
+def test_verify_spectral_checks_catch_a_wrong_rank_lambda_or_entry(monkeypatch):
+    from gmarr import ConnectionMatrix, connection_for_path, reference
+    from gmarr.exact import RatFunc
+
+    stem = "selberg_path"
+    omega, _ = connection_for_path(reference._path(stem))
+    assert reference._spectral(stem, omega).ok
+    X, lam, rank = EXPECTED["spectral"][stem]
+    for wrong in [(X, lam, rank + 1), (X, "l3 + l4", rank), ((3, 4), lam, rank)]:
+        monkeypatch.setitem(EXPECTED["spectral"], stem, wrong)
+        assert not reference._spectral(stem, omega).ok, wrong
+    monkeypatch.setitem(EXPECTED["spectral"], stem, (X, lam, rank))
+    (a, b), (c, d) = omega.entries
+    for entries in [((a, a), (c, d)), ((a, b), (c, RatFunc(d.num, d.num + 1)))]:
+        changed = ConnectionMatrix(basis=omega.basis, entries=entries)
+        assert not reference._spectral(stem, changed).ok
 
 
 def test_verify_json(capsys):

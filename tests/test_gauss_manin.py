@@ -18,7 +18,6 @@ from gmarr import (
     ConnectionMatrix,
     DegenerationPath,
     InconsistentSystem,
-    MultiplicityTable,
     PathError,
     ProjectionMatrix,
     Realization,
@@ -493,13 +492,8 @@ def _spectral_rank(omega: ConnectionMatrix, lam) -> int:
     return ranks[0]
 
 
-# the collapsing edge X of each worked path (n + 1 is infinity) and the rank
-SPECTRAL = {
-    "triple_point_path_1": ((3, 4, 5), "-l1 - l2", 1),
-    "triple_point_path_2": ((1, 2), "l1 + l2", 1),
-    "triple_point_path_3": ((1, 2, 3, 4), "l1 + l2 + l3 + l4", 2),
-    "selberg_path": ((3, 4, 5), "l3 + l4 + l5", 2),
-}
+# the collapsing edge X of each worked path (n + 1 is infinity), λ_X and the rank
+SPECTRAL = EXPECTED["spectral"]
 
 
 @pytest.mark.parametrize("stem", sorted(SPECTRAL))

@@ -1,5 +1,5 @@
-"""Tests for the twisted Orlik-Solomon layer: straightening, cocycles,
-the multiplication-by-a_lambda matrices and the projection matrix.
+"""Tests for the twisted Orlik-Solomon layer: straightening, the
+multiplication-by-a_lambda matrices and the projection matrix.
 
 Derived values are cross-checked against the raw exterior-algebra quotient
 oracle in _helpers (free wedge monomials modulo explicitly listed relations,
@@ -28,7 +28,6 @@ from gmarr import (
     projection_matrix,
     straighten,
     stv_check,
-    zeta,
 )
 from gmarr.exact import RatFunc
 from gmarr.reference import EXAMPLES, EXPECTED, render_scalar
@@ -183,82 +182,6 @@ def test_straighten_is_linear_over_circuit_boundaries():
 
 
 # ---------------------------------------------------------------------------
-# cocycles of betanbc frames
-# ---------------------------------------------------------------------------
-
-
-def test_zeta_general_position_is_scaled_monomial():
-    w = Weights.generic(4)
-    for B in betanbc_frames(G42):
-        lam = w.weight(B[0]) * w.weight(B[1])
-        assert zeta(B, G42, w) == {B: lam}
-
-
-def test_zeta_triple_point_frames():
-    w = Weights.generic(4)
-    for B in betanbc_frames(T_TRIPLE):
-        assert zeta(B, T_TRIPLE, w) == {B: w.weight(B[0]) * w.weight(B[1])}
-
-
-def test_zeta_selberg_24_hand_value():
-    # flat through rows 2 and 4 also contains row 5, so the first factor is
-    # l2*a2 + l4*a4 + l5*a5 and the wedge with l4*a4 leaves
-    # l2*l4*a24 - l4*l5*a45; straightening a45 = a25 - a24 gives the result.
-    w = Weights.generic(5)
-    z = zeta((2, 4), T_SELBERG, w)
-    l2, l4, l5 = w.weight(2), w.weight(4), w.weight(5)
-    expected = _combine(
-        [(l2 * l4, straighten((2, 4), T_SELBERG)), (-l4 * l5, straighten((4, 5), T_SELBERG))]
-    )
-    assert z == expected
-    assert {k: render_scalar(v) for k, v in sorted(z.items())} == {
-        (2, 4): "l2*l4 + l4*l5",
-        (2, 5): "-l4*l5",
-    }
-
-
-def test_zeta_selberg_25_hand_value():
-    # same flat {2,4,5}, second factor l5*a5: the wedge is
-    # l2*l5*a25 + l4*l5*a45, and a45 = a25 - a24 under straightening.
-    w = Weights.generic(5)
-    z = zeta((2, 5), T_SELBERG, w)
-    assert set(z) <= set(nbc_sets(T_SELBERG, 2))
-    l2, l4, l5 = w.weight(2), w.weight(4), w.weight(5)
-    expected = _combine(
-        [(l2 * l5, straighten((2, 5), T_SELBERG)), (l4 * l5, straighten((4, 5), T_SELBERG))]
-    )
-    assert z == expected
-    assert {k: render_scalar(v) for k, v in sorted(z.items())} == {
-        (2, 4): "-l4*l5",
-        (2, 5): "l2*l5 + l4*l5",
-    }
-
-
-def test_zeta_rejects_non_frame():
-    w = Weights.generic(4)
-    with pytest.raises(ValueError):
-        zeta((2, 3), T_TRIPLE, w)  # not a betanbc frame of the triple point
-    with pytest.raises(ValueError):
-        zeta((1, 2), G42, w)  # frames never contain row 1
-    with pytest.raises(ValueError):
-        zeta((2, 4), T_TRIPLE, Weights.generic(5))
-
-
-def test_zeta_concrete_weights_match_generic_evaluation():
-    rng = random.Random(7)
-    vals = random_nonresonant_weights(rng, T_SELBERG)
-    wg = Weights.generic(5)
-    wc = Weights.concrete(vals)
-    for B in betanbc_frames(T_SELBERG):
-        sym = zeta(B, T_SELBERG, wg)
-        num = zeta(B, T_SELBERG, wc)
-        for key in set(sym) | set(num):
-            s = sym.get(key, wg.zero_scalar())
-            cval = num.get(key, Fraction(0))
-            assert s.evaluate(vals) == Fraction(cval)
-
-
-# ---------------------------------------------------------------------------
 # the multiplication-by-a_lambda matrices
 # ---------------------------------------------------------------------------
 
@@ -353,22 +276,25 @@ def test_a_lambda_top_corank_equals_betanbc_count():
         assert top - rref_rank(m) == len(betanbc_frames(T))
 
 
-def test_zeta_and_a_lambda_image_span_top_degree():
-    # the cocycles of the betanbc frames complement the coboundaries
+def test_frame_monomials_and_coboundaries_span_top_degree():
+    """Each betanbc frame contributes the unit vector of its own nbc
+    monomial: those vectors complement the coboundaries a_λ∧a_S in top
+    degree, so the coboundary columns have rank |nbc_ℓ| − |βnbc| and reach
+    |nbc_ℓ| with the frames' vectors added."""
     rng = random.Random(13)
-    for r in [TRIPLE_POINT, SELBERG, random_realization(rng, 5, 2)]:
+    cases = [TRIPLE_POINT, SELBERG]
+    cases += [random_realization(rng, n, ell, forced)
+              for n, ell, forced in [(5, 2, 0), (6, 2, 2), (5, 3, 1), (6, 3, 0), (6, 3, 2)]]
+    for r in cases:
         T = compute_type(r)
-        vals = random_nonresonant_weights(rng, T)
-        w = Weights.concrete(vals)
+        w = Weights.concrete(random_nonresonant_weights(rng, T))
         top = nbc_sets(T, T.ell)
-        index = {S: i for i, S in enumerate(top)}
+        frames = betanbc_frames(T)
+        assert set(frames) <= set(top)
         columns = [list(col) for col in zip(*a_lambda_matrix(T, w, T.ell - 1))]
-        for B in betanbc_frames(T):
-            vec = [Fraction(0)] * len(top)
-            for S, c in zeta(B, T, w).items():
-                vec[index[S]] = Fraction(c)
-            columns.append(vec)
-        assert rref_rank(columns) == len(top)
+        assert rref_rank(columns) == len(top) - len(frames), sorted(T.dep)
+        units = [[Fraction(S == B) for S in top] for B in frames]
+        assert rref_rank(columns + units) == len(top), sorted(T.dep)
 
 
 # ---------------------------------------------------------------------------

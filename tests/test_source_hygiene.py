@@ -1,0 +1,56 @@
+"""Source hygiene of the package: no module imports a name it never uses,
+and every name ``gmarr.__all__`` lists is bound.
+
+Each module under ``src/gmarr`` is read with ``ast``, so nothing is
+imported or run to check it.  A name counts as used when it appears as an
+identifier anywhere in the module (attribute chains count by their first
+name); a name listed in ``__all__`` (only ``__init__`` has one) counts as
+used too.
+"""
+
+import ast
+from pathlib import Path
+
+import gmarr
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gmarr"
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of the import."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    unused = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _used(tree)
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in _imported(tree).items() if name not in used]
+    assert not unused, unused
+
+
+def test_every_exported_name_is_bound():
+    assert len(set(gmarr.__all__)) == len(gmarr.__all__)
+    assert [name for name in gmarr.__all__ if not hasattr(gmarr, name)] == []
