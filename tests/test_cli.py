@@ -58,25 +58,36 @@ def test_fixtures_equal_the_golden_examples():
         assert doc == EXAMPLES[stem], stem
 
 
-def test_parsed_fixtures_render_back_to_the_files():
-    """What a file parses to renders back to the file's strings: every row
-    entry through ``render_scalar``, the weights, and for a path file the
-    witness and the declared dependent sets."""
-    for f in sorted(FIXTURES.glob("*.json")):
-        doc = json.loads(f.read_text())
-        if "t_witness" in doc:
-            pf = parse_path_file(f.read_bytes())
-            r, w = pf.realization, pf.weights
-            assert str(pf.t_witness) == doc["t_witness"], f.name
-            for key, T in [("declared_dep", pf.declared_T),
-                           ("declared_dep_prime", pf.declared_Tprime)]:
-                declared = {tuple(J) for J in doc[key]} if key in doc else None
-                assert (None if T is None else T.dep) == declared, (f.name, key)
-        else:
-            r, w = parse_arrangement_file(f.read_bytes())
-        rows = [[render_scalar(e) for e in r.row(i)] for i in range(1, r.n + 1)]
-        assert rows == doc["rows"], f.name
-        assert ("generic" if w.is_generic else [str(v) for v in w.values]) == doc["weights"], f.name
+def test_fixture_lists_cover_every_file():
+    assert sorted(ARRANGEMENT_FILES + PATH_FILES) == sorted(f.name for f in FIXTURES.glob("*.json"))
+
+
+def _assert_renders_back(name, r, w):
+    doc = json.loads((FIXTURES / name).read_text())
+    rows = [[render_scalar(e) for e in r.row(i)] for i in range(1, r.n + 1)]
+    assert rows == doc["rows"], name
+    assert ("generic" if w.is_generic else [str(v) for v in w.values]) == doc["weights"], name
+    return doc
+
+
+def test_arrangement_files_round_trip():
+    """What an arrangement file parses to renders back to the file's
+    strings: every row entry through ``render_scalar``, and the weights."""
+    for name in ARRANGEMENT_FILES:
+        _assert_renders_back(name, *parse_arrangement_file((FIXTURES / name).read_bytes()))
+
+
+def test_path_files_round_trip():
+    """As for arrangement files, and the witness and the declared dependent
+    sets equal the file's values."""
+    for name in PATH_FILES:
+        pf = parse_path_file((FIXTURES / name).read_bytes())
+        doc = _assert_renders_back(name, pf.realization, pf.weights)
+        assert str(pf.t_witness) == doc["t_witness"], name
+        for key, T in [("declared_dep", pf.declared_T),
+                       ("declared_dep_prime", pf.declared_Tprime)]:
+            declared = {tuple(J) for J in doc[key]} if key in doc else None
+            assert (None if T is None else T.dep) == declared, (name, key)
 
 
 def test_selberg_path_file_declares_limit_type():
