@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from .arrangement import Weights
@@ -49,11 +48,6 @@ class ConnectionMatrix:
     basis: tuple[tuple[int, ...], ...]
     entries: tuple[tuple[object, ...], ...]
 
-    @cached_property
-    def nonzero(self) -> tuple[tuple[tuple[int, object], ...], ...]:
-        """The (column, entry) pairs of each row's nonzero entries, by column."""
-        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.entries)
-
     def entry(self, I: tuple[int, ...], Iprime: tuple[int, ...]):
         return self.entries[self.basis.index(I)][self.basis.index(Iprime)]
 
@@ -64,19 +58,15 @@ MAX_GENERAL_BASIS = 500
 
 
 def _from_rows(basis, rows: dict[int, dict[int, object]], zero) -> ConnectionMatrix:
-    """The square matrix with the entries ``rows[i][j]`` and ``zero`` elsewhere,
-    and its ``nonzero`` read off ``rows``: no step visits every entry."""
+    """The square matrix with the entries ``rows[i][j]`` and ``zero`` elsewhere."""
     zero_row = (zero,) * len(basis)
-    entries, nonzero = [zero_row] * len(basis), [()] * len(basis)
+    entries = [zero_row] * len(basis)
     for i, row in rows.items():
         full = list(zero_row)
         for j, x in row.items():
             full[j] = x
         entries[i] = tuple(full)
-        nonzero[i] = tuple((j, row[j]) for j in sorted(row) if row[j])
-    M = ConnectionMatrix(basis=basis, entries=tuple(entries))
-    object.__setattr__(M, "nonzero", tuple(nonzero))  # fills the cached property
-    return M
+    return ConnectionMatrix(basis=basis, entries=tuple(entries))
 
 
 def _general_basis(n: int, ell: int) -> tuple[tuple[int, ...], ...]:
@@ -84,6 +74,63 @@ def _general_basis(n: int, ell: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError(f"the general-position basis for n={n}, ell={ell} has "
                          f"C({n - 1}, {ell}) = {size} frames: over the limit {MAX_GENERAL_BASIS}")
     return tuple(itertools.combinations(range(2, n + 1), ell))
+
+
+def _frames_and_weights(n: int, ell: int, w: Weights | None):
+    """The general-position basis, the weights and each frame's position."""
+    basis = _general_basis(n, ell)  # refuses an oversized basis before building weights
+    if w is None:
+        w = Weights.generic(n)
+    elif w.n != n:
+        raise ValueError(f"weights are for n={w.n}, expected n={n}")
+    return basis, w, {B: i for i, B in enumerate(basis)}
+
+
+def _block(J: tuple[int, ...], w: Weights, basis, index):
+    """Yield (row, column, entry) for each entry the block of J sets, once
+    each; rows and columns are ``index`` positions in ``basis``."""
+    n, ell = w.n, len(J) - 1
+    inf = n + 1
+    if 1 not in J and inf not in J:
+        # every J ∖ {j_p} is a basis frame; they exchange among themselves
+        deleted = [(index[J[:p] + J[p + 1:]], w.weight(J[p])) for p in range(len(J))]
+        for p0, (i, _) in enumerate(deleted):
+            for p, (j, lam) in enumerate(deleted):
+                yield i, j, -lam if (p0 + p) % 2 else lam
+    elif 1 not in J:  # J holds n+1
+        Jp = tuple(x for x in J if x != inf)
+        col = index[Jp]
+        outside = [j for j in range(1, n + 1) if j not in Jp]
+        yield col, col, -w.weight_sum(outside)
+        jset = set(Jp)
+        for I in basis:
+            extra = set(I) - jset
+            if len(extra) != 1 or I == Jp:
+                continue
+            lam = w.weight(extra.pop())
+            yield index[I], col, -lam if epsilon(I, Jp) == 1 else lam
+    elif inf not in J:  # J holds 1
+        J1 = J[1:]
+        row = index[J1]
+        yield row, row, w.weight_sum(J)
+        jset = set(J1)
+        for Ip in basis:
+            common = jset & set(Ip)
+            if len(common) != ell - 1 or Ip == J1:
+                continue
+            lam = w.weight(next(iter(jset - common)))
+            yield row, index[Ip], -lam if epsilon(J1, Ip) == 1 else lam
+    else:
+        # the frames holding J2 = J ∖ {1, n+1} are J2 ∪ {x}, pairwise meeting in J2
+        J2 = tuple(x for x in J if x != 1 and x != inf)
+        extras = [x for x in range(2, n + 1) if x not in J2]
+        holding = [tuple(sorted(J2 + (x,))) for x in extras]
+        for x, I in zip(extras, holding):
+            lam = w.weight(x)
+            yield index[I], index[I], -lam
+            for Ip in holding:
+                if Ip != I:
+                    yield index[I], index[Ip], lam if epsilon(I, Ip) == 1 else -lam
 
 
 def omega_general(
@@ -100,58 +147,21 @@ def omega_general(
         raise ValueError(f"J = {J} must have ell + 1 = {ell + 1} elements")
     if not (1 <= J[0] and J[-1] <= n + 1):
         raise ValueError(f"J = {J} out of range 1..{n + 1}")
-    basis = _general_basis(n, ell)  # refuses an oversized basis before building weights
-    if w is None:
-        w = Weights.generic(n)
-    elif w.n != n:
-        raise ValueError(f"weights are for n={w.n}, expected n={n}")
-
-    index = {B: i for i, B in enumerate(basis)}
+    basis, w, index = _frames_and_weights(n, ell, w)
     rows: dict[int, dict[int, object]] = {}
-    inf = n + 1
-    has_one = 1 in J
-    has_inf = inf in J
+    for i, j, x in _block(J, w, basis, index):
+        rows.setdefault(i, {})[j] = x
+    return _from_rows(basis, rows, w.zero_scalar())
 
-    if not has_one and not has_inf:
-        # every J ∖ {j_p} is a basis frame; they exchange among themselves
-        deleted = [(J[:p] + J[p + 1:], J[p]) for p in range(len(J))]
-        for p0, (row_frame, _) in enumerate(deleted):
-            row = rows.setdefault(index[row_frame], {})
-            for p, (col_frame, jp) in enumerate(deleted):
-                lam = w.weight(jp)
-                row[index[col_frame]] = -lam if (p0 + p) % 2 else lam
-    elif has_inf and not has_one:
-        Jp = tuple(x for x in J if x != inf)
-        col = index[Jp]
-        outside = [j for j in range(1, n + 1) if j not in Jp]
-        rows[col] = {col: -w.weight_sum(outside)}
-        jset = set(Jp)
-        for I in basis:
-            extra = set(I) - jset
-            if len(extra) != 1 or I == Jp:
-                continue
-            lam = w.weight(extra.pop())
-            rows.setdefault(index[I], {})[col] = -lam if epsilon(I, Jp) == 1 else lam
-    elif has_one and not has_inf:
-        J1 = J[1:]
-        row = rows[index[J1]] = {index[J1]: w.weight_sum(J)}
-        jset = set(J1)
-        for Ip in basis:
-            common = jset & set(Ip)
-            if len(common) != ell - 1 or Ip == J1:
-                continue
-            lam = w.weight(next(iter(jset - common)))
-            row[index[Ip]] = -lam if epsilon(J1, Ip) == 1 else lam
-    else:
-        # the frames holding J2 = J ∖ {1, n+1} are J2 ∪ {x}, pairwise meeting in J2
-        J2 = tuple(x for x in J if x != 1 and x != inf)
-        extras = [x for x in range(2, n + 1) if x not in J2]
-        holding = [tuple(sorted(J2 + (x,))) for x in extras]
-        for x, I in zip(extras, holding):
-            lam = w.weight(x)
-            row = rows[index[I]] = {index[I]: -lam}
-            for Ip in holding:
-                if Ip != I:
-                    row[index[Ip]] = lam if epsilon(I, Ip) == 1 else -lam
 
+def _weighted_sum(terms, n: int, ell: int, w: Weights | None = None) -> ConnectionMatrix:
+    """Σ m · omega_general(J) over the (J, m) of ``terms``, added in their
+    order into one table of rows; a zero block entry adds nothing."""
+    basis, w, index = _frames_and_weights(n, ell, w)
+    rows: dict[int, dict[int, object]] = {}
+    for J, m in terms:
+        for i, j, x in _block(J, w, basis, index):
+            if x:
+                row = rows.setdefault(i, {})
+                row[j] = m * x if (y := row.get(j)) is None else y + m * x
     return _from_rows(basis, rows, w.zero_scalar())

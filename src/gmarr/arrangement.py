@@ -17,6 +17,7 @@ no-broken-circuit combinatorics depends on it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +29,15 @@ from .exact import MultiPoly, PathPoly, _as_fraction
 # straightener table of ``orlik_solomon``): one computation revisits only a
 # few types, and unbounded tables would grow with every new type a process meets.
 TYPE_CACHE_SIZE = 8
+
+# Largest C(n+1, ℓ+1)·(ℓ+1)! that ``compute_type`` takes on: the cofactor
+# products of its minors when every row is dense.  ``gmarr analyze`` on dense
+# random files (2-vCPU x86-64, CPython 3.11): accepted, ℓ = 2, n = 40
+# (63960) 0.9 s and n = 100 (999900) 29 s, 5.8 s of it minors; ℓ = 3, n = 32
+# (982080) 5.8 s; ℓ = 6, n = 9 (604800) 1.1 s.  Refused: ℓ = 3, n = 35
+# (1413720) 13 s; ℓ = 6, n = 10 (1663200) 3.1–3.9 s.  The tests and the
+# benchmark reach 32760 (ℓ = 3, n = 14).
+MAX_TYPE_PRODUCTS = 1_000_000
 
 
 class RealizationError(ValueError):
@@ -221,6 +231,9 @@ def compute_type(r: Realization) -> CombinatorialType:
     """The combinatorial type of a rational realization (all minors tested)."""
     if r.is_path:
         raise ValueError("compute_type needs a rational realization; specialize the path first")
+    if (count := math.comb(r.n + 1, r.ell + 1) * math.factorial(r.ell + 1)) > MAX_TYPE_PRODUCTS:
+        raise ValueError(f"typing n={r.n}, ell={r.ell} takes C({r.n + 1}, {r.ell + 1})·{r.ell + 1}! = "
+                         f"{count} cofactor products: over the limit {MAX_TYPE_PRODUCTS}")
     dep = [
         I
         for I in itertools.combinations(range(1, r.n + 2), r.ell + 1)

@@ -18,9 +18,11 @@ nondegenerate position (bounded against the powers of ``t`` by
 expected dependent sets at the witness (``"declared_dep"``) and at ``t = 0``
 (``"declared_dep_prime"``) as lists of index lists; declared sets are checked
 against what the rows actually realize, never trusted.  A general-position
-basis over ``aomoto_kita.MAX_GENERAL_BASIS`` = 500 frames is bad input, and
-so is a type whose projection system has over
-``orlik_solomon.MAX_PROJECTION_CELLS`` = 25000 cells.
+basis over ``aomoto_kita.MAX_GENERAL_BASIS`` = 500 frames is bad input, so
+is a type whose projection system has over
+``orlik_solomon.MAX_PROJECTION_CELLS`` = 25000 cells, and so is an
+arrangement whose type would take over ``arrangement.MAX_TYPE_PRODUCTS`` =
+10⁶ cofactor products, C(n+1, ℓ+1)·(ℓ+1)!.
 
 All output is byte-deterministic: the same invocation prints the same bytes.
 ``connection --jobs N`` is still accepted but has no effect.  Exit status is

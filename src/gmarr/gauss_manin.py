@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .aomoto_kita import ConnectionMatrix, _from_rows, _general_basis, omega_general
+from .aomoto_kita import ConnectionMatrix, _general_basis, _weighted_sum
 from .arrangement import (
     CombinatorialType,
     Realization,
@@ -138,7 +138,7 @@ class MultiplicityTable:
     """Vanishing orders m_J for J in dep(T',T), with the standing caveat."""
 
     items: tuple[tuple[tuple[int, ...], int], ...]
-    caveat: str = COVER_CAVEAT
+    caveat = COVER_CAVEAT
 
     def mapping(self) -> dict[tuple[int, ...], int]:
         return dict(self.items)
@@ -205,24 +205,11 @@ def combined_omega(
             f"multiplicity keys do not match dep(T',T); missing {missing}, "
             f"unexpected {extra}"
         )
-    basis = _general_basis(n, ell)
-    if w is None:
-        w = Weights.generic(n)
-    order = sorted(table)
-    for J in order:
-        m = table[J]
+    terms = sorted(table.items())
+    for J, m in terms:
         if not (isinstance(m, int) and m >= 1):
             raise ValueError(f"multiplicity for {J} must be a positive integer")
-    acc: dict[int, dict[int, object]] = {}
-    for J in order:
-        m = table[J]
-        for i, pairs in enumerate(omega_general(J, n, ell, w).nonzero):
-            if pairs:
-                row = acc.setdefault(i, {})
-                for j, x in pairs:
-                    term = m * x
-                    row[j] = term if (y := row.get(j)) is None else y + term
-    return _from_rows(basis, acc, w.zero_scalar())
+    return _weighted_sum(terms, n, ell, w)
 
 
 def solve_connection(P: ProjectionMatrix, B: ConnectionMatrix) -> ConnectionMatrix:

@@ -34,6 +34,12 @@ def cofactor_det(m):
     return total
 
 
+def dense_matmul(A, B, zero):
+    """A·B with every product formed: each entry is ``zero`` plus the
+    products of its row and column, in inner order."""
+    return [[sum((a * b for a, b in zip(row, col)), zero) for col in zip(*B)] for row in A]
+
+
 def rref(matrix):
     """Gauss-Jordan over Fraction; returns (reduced rows, pivot columns).
 

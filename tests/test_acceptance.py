@@ -5,7 +5,6 @@ Each test prints a single PASS line on success; a failure shows up both as
 the pytest failure and as the missing line.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
@@ -26,7 +25,6 @@ from gmarr import (
     combined_omega,
     compute_type,
     connection_for_path,
-    general_position_type,
     multiplicities,
     nbc_sets,
     omega_general,
@@ -38,6 +36,7 @@ from gmarr.exact import evaluate, parse_path_poly
 from gmarr.reference import EXAMPLES, EXPECTED, render_scalar
 
 from _helpers import (
+    dense_matmul,
     pair_matrices_eq,
     pair_matrix,
     pair_mul,
@@ -69,13 +68,6 @@ def rendered(entries):
 
 def report(line: str):
     print(line, flush=True)
-
-
-def _matmul(A, B, zero):
-    return [
-        [sum((a * b for a, b in zip(row, col)), zero) for col in zip(*B)]
-        for row in A
-    ]
 
 
 def test_criterion_1_worked_example_golden_suite():
@@ -191,7 +183,7 @@ def test_criterion_4_random_realizations_invariants():
         top = len(nbc_sets(T, ell))
         assert top - rref_rank(mats[-1]) == len(frames), r.rows
         for q in range(ell - 1):
-            prod = _matmul(mats[q + 1], mats[q], Fraction(0))
+            prod = dense_matmul(mats[q + 1], mats[q], Fraction(0))
             assert all(x == 0 for row in prod for x in row), (r.rows, q)
         checked += 1
     elapsed = time.monotonic() - start

@@ -185,6 +185,21 @@ def test_compute_type_rejects_paths():
         compute_type(Realization(rows))
 
 
+def test_compute_type_size_limit_at_and_past(monkeypatch):
+    """C(5, 3)·3! = 60 products for the triple point: it is typed at a
+    limit of 60 and refused at 59, before its first minor."""
+    from gmarr import arrangement
+
+    r = Realization(TRIPLE_POINT)
+    monkeypatch.setattr(arrangement, "MAX_TYPE_PRODUCTS", 60)
+    assert tuple(sorted(compute_type(r).dep)) == EXPECTED["triple-point dep"]
+    monkeypatch.setattr(arrangement, "MAX_TYPE_PRODUCTS", 59)
+    monkeypatch.setattr(Realization, "minor", lambda self, J: pytest.fail("a minor was computed"))
+    with pytest.raises(ValueError, match=r"^typing n=4, ell=2 takes C\(5, 3\)·3! = 60 cofactor "
+                                         r"products: over the limit 59$"):
+        compute_type(r)
+
+
 def test_affine_circuits_triple_point():
     T = compute_type(Realization(TRIPLE_POINT))
     assert affine_circuits(T) == ((1, 2, 3),)

@@ -362,6 +362,21 @@ def test_oversized_projection_is_refused_fast(tmp_path, capsys):
         assert "has 219 rows and 76 + 130 columns (45114 cells): over the limit" in message
 
 
+def _wide_files(tmp_path):
+    """An arrangement file and a path file with n = 60, ell = 5: the same
+    random rows, the path's first entry replaced by t."""
+    rng = random.Random(5)
+    rows = [[str(rng.randint(-50, 50)) for _ in range(6)] for _ in range(60)]
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"n": 60, "ell": 5, "rows": rows, "weights": "generic"}))
+    rows[0][0] = "t"
+    path = tmp_path / "wide_path.json"
+    path.write_text(
+        json.dumps({"n": 60, "ell": 5, "rows": rows, "weights": "generic", "t_witness": "1"})
+    )
+    return wide, path
+
+
 def test_oversized_general_basis_is_refused_before_typing(tmp_path, monkeypatch, capsys):
     # n = 60, ell = 5: typing would test C(61, 6) minors before the refusal
     from gmarr import arrangement
@@ -372,15 +387,7 @@ def test_oversized_general_basis_is_refused_before_typing(tmp_path, monkeypatch,
 
     monkeypatch.setattr(arrangement, "compute_type", untyped)
     monkeypatch.setattr(cli_mod, "compute_type", untyped)
-    rng = random.Random(5)
-    rows = [[str(rng.randint(-50, 50)) for _ in range(6)] for _ in range(60)]
-    wide = tmp_path / "wide.json"
-    wide.write_text(json.dumps({"n": 60, "ell": 5, "rows": rows, "weights": "generic"}))
-    path = tmp_path / "wide_path.json"
-    rows[0][0] = "t"
-    path.write_text(
-        json.dumps({"n": 60, "ell": 5, "rows": rows, "weights": "generic", "t_witness": "1"})
-    )
+    wide, path = _wide_files(tmp_path)
     message = ("the general-position basis for n=60, ell=5 has C(59, 5) = 5006386 "
                "frames: over the limit 500")
     for command, f in (("projection", wide), ("connection", path)):
@@ -389,6 +396,26 @@ def test_oversized_general_basis_is_refused_before_typing(tmp_path, monkeypatch,
         code, out, err = run(capsys, command, "--format", "json", str(f))
         assert code == 1 and err == ""
         assert json.loads(out) == {"error": message}
+
+
+def test_oversized_type_is_refused_before_the_first_minor(tmp_path, monkeypatch, capsys):
+    # n = 60, ell = 5: C(61, 6) = 55525372 minors of 6 rows each
+    from gmarr import arrangement
+
+    def unexpanded(self, J):
+        raise AssertionError("a minor was computed")
+
+    monkeypatch.setattr(arrangement.Realization, "minor", unexpanded)
+    wide, path = _wide_files(tmp_path)
+    message = ("typing n=60, ell=5 takes C(61, 6)·6! = 39978267840 cofactor products: "
+               "over the limit 1000000")
+    for command, f in (("analyze", wide), ("check-weights", wide), ("multiplicity", path)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(f))
+        assert (code, out, err) == (1, "", f"error: {message}\n"), command
+        code, out, err = run(capsys, command, "--format", "json", str(f))
+        assert code == 1 and err == "" and json.loads(out) == {"error": message}, command
+        assert time.perf_counter() - start < 1.0, command
 
 
 def _table_cells(lines: list[str]) -> tuple[list[str], list[list[str]]]:

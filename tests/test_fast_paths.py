@@ -2,12 +2,14 @@
 
 ``linalg.mat_mul`` forms only the nonzero products, ``fraction_free_echelon``
 visits only the columns where an update product is nonzero,
-``arrangement._det_small`` expands along its sparsest row, and
-``MultiPoly`` multiplies two single terms, subtracts and divides by a
-monomial without its general loops.  Each oracle here is written out in
-full: a dense triple loop for the product, the dense Bareiss loop for the
+``arrangement._det_small`` expands along its sparsest row,
+``combined_omega`` adds each block's entries straight into one table of
+rows, and ``MultiPoly`` multiplies two single terms, subtracts and divides
+by a monomial without its general loops.  Each oracle here is written out
+in full: a dense triple loop for the product, the dense Bareiss loop for the
 elimination, the row-0 cofactor expansion of ``_helpers`` for the
-determinant, and term-by-term dictionaries for the polynomial routes.  The
+determinant, the dense product of ``_helpers`` over whole blocks for the
+weighted sum, and term-by-term dictionaries for the polynomial routes.  The
 checks compare values and the ``type`` of every entry and coefficient, so a
 fast route that returns an equal value of another type fails too.
 """
@@ -20,9 +22,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import cofactor_det
+from _helpers import cofactor_det, dense_matmul
 
-from gmarr import ConnectionMatrix, Realization, Weights, arrangement, omega_general
+from gmarr import (
+    CombinatorialType,
+    Realization,
+    Weights,
+    arrangement,
+    combined_omega,
+    general_position_type,
+    omega_general,
+)
 from gmarr.exact import MultiPoly, PathPoly, poly_exact_div
 from gmarr.linalg import fraction_free_echelon, mat_mul
 
@@ -413,16 +423,25 @@ def test_random_sparse_products_match_the_dense_loop():
 
 
 # ---------------------------------------------------------------------------
-# connection blocks: the nonzero entries handed over without a scan
+# the combined block: Σ m_J·Ω_J summed straight into one table of rows
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n, ell", [(5, 1), (6, 2), (6, 3)])
-def test_block_nonzero_entries_match_a_scan(n, ell):
-    """``omega_general`` fills ``nonzero`` from the entries it sets; a zero
-    weight makes some of them zero, and those must not be listed."""
-    for w in (Weights.generic(n), Weights.concrete([0] + list(range(1, n)))):
-        for J in itertools.combinations(range(1, n + 2), ell + 1):
-            M = omega_general(J, n, ell, w)
-            scan = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in M.entries)
-            assert M.nonzero == scan == ConnectionMatrix(M.basis, M.entries).nonzero, J
+def test_combined_omega_is_the_dense_weighted_sum(n, ell):
+    """``combined_omega`` against the row of multiplicities times the
+    flattened dense blocks ``omega_general(J).entries``, one row per J.
+    Concrete weights −1, 0, 1, …, n−2 make some block entries zero (λ₂ = 0
+    and λ₁ + λ₂ + λ₃ = 0), and some sums of overlapping blocks cancel."""
+    rng = random.Random(100 * n + ell)
+    T = general_position_type(n, ell)
+    subsets = list(itertools.combinations(range(1, n + 2), ell + 1))
+    for w in (Weights.generic(n), Weights.concrete(range(-1, n - 1))):
+        for _ in range(4):
+            Js = sorted(rng.sample(subsets, rng.randint(1, 4)))
+            mult = {J: rng.randint(1, 3) for J in Js}
+            got = combined_omega(T, CombinatorialType(n, ell, Js), mult, n, ell, w).entries
+            blocks = [[x for row in omega_general(J, n, ell, w).entries for x in row] for J in Js]
+            flat = dense_matmul([[mult[J] for J in Js]], blocks, w.zero_scalar())[0]
+            size = len(got)
+            _same(got, [flat[i * size:(i + 1) * size] for i in range(size)])

@@ -44,6 +44,7 @@ from gmarr.reference import EXAMPLES, EXPECTED, render_scalar
 
 from _helpers import (
     cofactor_det,
+    dense_matmul,
     ladder_path,
     pair_add,
     pair_eq,
@@ -436,13 +437,6 @@ def test_connection_selberg():
     assert _rendered(omega) == EXPECTED["selberg connection"]
 
 
-def _matmul(A, B, zero):
-    return [
-        [sum((a * b for a, b in zip(row, col)), zero) for col in zip(*B)]
-        for row in A
-    ]
-
-
 def test_connection_equation_holds_generic():
     for rows in [PATH_T1, PATH_T2, PATH_T3, PATH_SELBERG]:
         p = _path(rows)
@@ -470,7 +464,7 @@ def test_connection_equation_holds_concrete():
         Pe = [[Fraction(x) for x in row] for row in P.entries]
         Be = [[Fraction(x) for x in row] for row in B.entries]
         Oe = [[Fraction(x) for x in row] for row in omega.entries]
-        assert _matmul(Pe, Oe, Fraction(0)) == _matmul(Be, Pe, Fraction(0))
+        assert dense_matmul(Pe, Oe, Fraction(0)) == dense_matmul(Be, Pe, Fraction(0))
 
 
 # ---------------------------------------------------------------------------

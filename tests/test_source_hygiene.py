@@ -1,11 +1,11 @@
-"""Source hygiene of the package: no module imports a name it never uses,
-and every name ``gmarr.__all__`` lists is bound.
+"""Source hygiene of the package and its tests: no module imports a name it
+never uses, and every name ``gmarr.__all__`` lists is bound.
 
-Each module under ``src/gmarr`` is read with ``ast``, so nothing is
-imported or run to check it.  A name counts as used when it appears as an
-identifier anywhere in the module (attribute chains count by their first
-name); a name listed in ``__all__`` (only ``__init__`` has one) counts as
-used too.
+Each module under ``src/gmarr`` and ``tests`` is read with ``ast``, so
+nothing is imported or run to check it.  A name counts as used when it
+appears as an identifier anywhere in the module (attribute chains count by
+their first name); a name listed in ``__all__`` (only ``__init__`` has one)
+counts as used too.  The benchmark under ``gmbench`` is not scanned.
 """
 
 import ast
@@ -13,7 +13,8 @@ from pathlib import Path
 
 import gmarr
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gmarr"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "gmarr"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -40,13 +41,13 @@ def _used(tree: ast.Module) -> set[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    modules = sorted(PACKAGE.glob("*.py"))
-    assert modules
+    modules = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert PACKAGE / "cli.py" in modules and TESTS / "_helpers.py" in modules
     unused = []
     for path in modules:
         tree = ast.parse(path.read_text(), filename=str(path))
         used = _used(tree)
-        unused += [f"{path.name}:{line} {name}"
+        unused += [f"{path.relative_to(TESTS.parent)}:{line} {name}"
                    for name, line in _imported(tree).items() if name not in used]
     assert not unused, unused
 
