@@ -257,6 +257,19 @@ def test_a_lambda_columns_match_quotient_oracle():
                 assert got == coords, (S, got, coords)
 
 
+def test_a_lambda_top_corank_equals_betanbc_count():
+    rng = random.Random(11)
+    cases = [TRIPLE_POINT, SELBERG]
+    cases.extend(random_realization(rng, rng.choice([4, 5]), 2) for _ in range(3))
+    for r in cases:
+        T = compute_type(r)
+        vals = random_nonresonant_weights(rng, T)
+        w = Weights.concrete(vals)
+        m = a_lambda_matrix(T, w, T.ell - 1)
+        top = len(nbc_sets(T, T.ell))
+        assert top - rref_rank(m) == len(betanbc_frames(T))
+
+
 def test_frame_monomials_and_coboundaries_span_top_degree():
     """Each betanbc frame contributes the unit vector of its own nbc
     monomial: those vectors complement the coboundaries a_λ∧a_S in top
@@ -264,8 +277,8 @@ def test_frame_monomials_and_coboundaries_span_top_degree():
     |nbc_ℓ| with the frames' vectors added."""
     rng = random.Random(13)
     cases = [TRIPLE_POINT, SELBERG]
-    sizes = [(4, 2, 0), (5, 2, 0), (6, 2, 2), (5, 3, 1), (6, 3, 0), (6, 3, 2)]
-    cases += [random_realization(rng, n, ell, forced) for n, ell, forced in sizes]
+    cases += [random_realization(rng, n, ell, forced)
+              for n, ell, forced in [(5, 2, 0), (6, 2, 2), (5, 3, 1), (6, 3, 0), (6, 3, 2)]]
     for r in cases:
         T = compute_type(r)
         w = Weights.concrete(random_nonresonant_weights(rng, T))
