@@ -271,14 +271,17 @@ class _Matroid:
         S = frozenset(S)
         return S | {x for x in range(1, self.ground + 1) if S | {x} not in self.indep}
 
-    def circuits_within(self, X: Iterable[int]) -> list[frozenset]:
+    def circuits_within(self, X: Iterable[int], largest: int | None = None) -> list[frozenset]:
         """Inclusion-minimal dependent subsets of X (dependent sets whose
-        one-smaller subsets are all independent), by size, then
-        lexicographically."""
+        one-smaller subsets are all independent) of at most ``largest``
+        elements (default full rank + 1, the size of every circuit), by
+        size, then lexicographically."""
         X = sorted(X)
+        if largest is None:
+            largest = self.full_rank + 1
         return [
             C
-            for size in range(1, min(len(X), self.full_rank + 1) + 1)
+            for size in range(1, min(len(X), largest) + 1)
             for C in map(frozenset, itertools.combinations(X, size))
             if C not in self.indep and all(C - {x} in self.indep for x in C)
         ]
@@ -300,10 +303,11 @@ def affine_circuits(T: CombinatorialType) -> tuple[tuple[int, ...], ...]:
     then lexicographically."""
     m = _matroid_of(T)
     # C ∖ {min C} spans the circuit C, so n+1 is outside the closure of C
-    # exactly when adding it to C ∖ {min C} leaves an independent set
+    # exactly when adding it to C ∖ {min C} leaves an independent set, which
+    # has at most ℓ+1 elements: no (ℓ+2)-circuit qualifies
     return tuple(
         tuple(sorted(C))
-        for C in m.circuits_within(range(1, T.n + 1))
+        for C in m.circuits_within(range(1, T.n + 1), T.ell + 1)
         if C - {min(C)} | {T.n + 1} in m.indep
     )
 

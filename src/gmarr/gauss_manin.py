@@ -11,11 +11,15 @@ matrix on the degenerate-locus side is the Ω with
 over the weight field.  P(T) = N/d over one common denominator, and every
 frame of T labels a row d·e of N, so Ω = W/d for W the frame rows of B·N;
 every row of the polynomial identity N·W = d·(B·N) is then checked exactly.
+With concrete weights N and d are ints, and B is scaled to ints by s, the
+lcm of its denominators: W, both products and the check run on Python ints,
+and Ω = W/(d·s).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 from .aomoto_kita import ConnectionMatrix, _general_basis, _weighted_sum
@@ -28,7 +32,7 @@ from .arrangement import (
     stv_check,
 )
 from .exact import _as_fraction, quotient
-from .linalg import mat_mul
+from .linalg import _integer_row, mat_mul
 from .orlik_solomon import ProjectionMatrix, ResonantWeights, projection_matrix
 
 COVER_CAVEAT = (
@@ -221,13 +225,26 @@ def solve_connection(P: ProjectionMatrix, B: ConnectionMatrix) -> ConnectionMatr
     A frame that labels no row of P, or whose row of N is not d times its
     unit vector, is reported as an inconsistency; so is any row of N·W that
     differs from d·(B·N), the equation times d² over the domain.
+
+    When d and every entry of B are ``int`` or ``Fraction`` (concrete
+    weights), B is first multiplied by s, the lcm of its entries'
+    denominators (the ``linalg._integer_row`` rule over the whole matrix).
+    Then B·N, W and N·W are Python ints, each row of the check is s times
+    the unscaled one, and each entry of Ω is formed once as W/(d·s).  A
+    ``MultiPoly`` B or d is used as it is.
     """
     if P.row_basis != B.basis:
         raise ValueError("projection rows and connection basis disagree")
     if not P.col_basis:
         return ConnectionMatrix(basis=(), entries=())
     N, d = P.numerators, P.denominator
-    BN = mat_mul(B.entries, N)
+    entries, s = B.entries, 1
+    flat = [x for row in entries for x in row]
+    if all(isinstance(x, (int, Fraction)) for x in (d, *flat)):
+        s, flat = _integer_row(flat)
+        it = iter(flat)
+        entries = [[next(it) for _ in row] for row in entries]
+    BN = mat_mul(entries, N)
     row_of = {label: i for i, label in enumerate(P.row_basis)}
     W = []
     for j, frame in enumerate(P.col_basis):
@@ -250,7 +267,8 @@ def solve_connection(P: ProjectionMatrix, B: ConnectionMatrix) -> ConnectionMatr
                 f"connection equation fails on the row for {label}: "
                 "resonant weights, an invalid path, or inconsistent bases",
             )
-    omega = tuple(tuple(quotient(x, d) for x in row) for row in W)
+    ds = d * s
+    omega = tuple(tuple(quotient(x, ds) for x in row) for row in W)
     return ConnectionMatrix(basis=P.col_basis, entries=omega)
 
 

@@ -14,6 +14,9 @@ routine:
   lcm of their denominators (``_integer_row``); the scaling changes neither
   the nonzero pattern the pivots are chosen from nor the rank, and it
   multiplies each read-off entry by the scales of the rows in its minor.
+  ``gauss_manin.solve_connection`` applies the same rule to a whole concrete
+  matrix B at once, so one scale s serves every row: its ``mat_mul``
+  products and its row check run on ints, and Ω is read off as W/(d·s).
 * ``MultiPoly`` systems, divided exactly by ``poly_exact_div``, with
   ``int`` coefficients wherever they are integral.  On the ladder
   degenerations every entry and pivot is a single term, so the division

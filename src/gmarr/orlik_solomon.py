@@ -14,6 +14,9 @@ basis onto the one of a degenerate type.
 
 Scalars follow the weight mode: MultiPoly for generic weights, Fraction for
 concrete ones; the projection matrix is kept over one common denominator.
+With concrete weights that denominator d and the numerators N are Python
+ints, and ``gauss_manin.solve_connection`` scales B to ints by s, the lcm of
+its denominators, so its read-off and check run on ints too: Ω = W/(d·s).
 """
 
 from __future__ import annotations

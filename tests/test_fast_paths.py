@@ -4,17 +4,20 @@
 visits only the columns where an update product is nonzero,
 ``arrangement._det_small`` expands along its sparsest row,
 ``combined_omega`` adds each block's entries straight into one table of
-rows, and ``MultiPoly`` multiplies two single terms, subtracts and divides
-by a monomial without its general loops.  Each oracle here is written out
-in full: a dense triple loop for the product, the dense Bareiss loop for the
+rows, ``solve_connection`` reads a concrete Ω off over ints, and
+``MultiPoly`` multiplies two single terms, subtracts and divides by a
+monomial without its general loops.  Each oracle here is written out in
+full: a dense triple loop for the product, the dense Bareiss loop for the
 elimination, the row-0 cofactor expansion of ``_helpers`` for the
 determinant, the dense product of ``_helpers`` over whole blocks for the
-weighted sum, and term-by-term dictionaries for the polynomial routes.  The
+weighted sum, a Gauss–Jordan solve of P·Ω = B·P over ``Fraction`` for the
+connection, and term-by-term dictionaries for the polynomial routes.  The
 checks compare values and the ``type`` of every entry and coefficient, so a
 fast route that returns an equal value of another type fails too.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -22,16 +25,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import cofactor_det, dense_matmul
+from _helpers import (
+    cofactor_det,
+    dense_matmul,
+    ladder_path,
+    random_nonresonant_weights,
+    rref,
+)
 
 from gmarr import (
     CombinatorialType,
+    ConnectionMatrix,
     Realization,
     Weights,
     arrangement,
     combined_omega,
     general_position_type,
+    multiplicities,
     omega_general,
+    projection_matrix,
+    solve_connection,
 )
 from gmarr.exact import MultiPoly, PathPoly, poly_exact_div
 from gmarr.linalg import fraction_free_echelon, mat_mul
@@ -445,3 +458,44 @@ def test_combined_omega_is_the_dense_weighted_sum(n, ell):
             flat = dense_matmul([[mult[J] for J in Js]], blocks, w.zero_scalar())[0]
             size = len(got)
             _same(got, [flat[i * size:(i + 1) * size] for i in range(size)])
+
+
+# ---------------------------------------------------------------------------
+# the concrete connection: Ω read off over ints, as W/(d·s)
+# ---------------------------------------------------------------------------
+
+
+def _dense_connection(P, B):
+    """Ω from P·Ω = B·P by Gauss–Jordan over ``Fraction``, with P = N/d and
+    B·P formed densely; the system must be consistent with a unique
+    solution."""
+    Pf = [[Fraction(x) / P.denominator for x in row] for row in P.numerators]
+    BP = dense_matmul(B.entries, Pf, Fraction(0))
+    c = len(P.col_basis)
+    R, pivots = rref([p + bp for p, bp in zip(Pf, BP)])
+    assert pivots == list(range(c))
+    assert not any(x for row in R[c:] for x in row)
+    return [row[c:] for row in R[:c]]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_concrete_connection_matches_a_dense_fraction_solve(seed):
+    """(7, 3, 2) ladder paths with weights whose denominators are the primes
+    5, 7, 11, 13, so B has non-integral entries (s > 1), and the same B
+    times s as Python ``int`` entries (s = 1), whose Ω is s times the
+    first."""
+    rng = random.Random(seed)
+    p = ladder_path(rng, 7, 3, 2)
+    w = Weights.concrete(random_nonresonant_weights(rng, p.T))
+    B = combined_omega(p.T, p.Tprime, multiplicities(p), 7, 3, w)
+    P = projection_matrix(p.T, w)
+    s = math.lcm(*(x.denominator for row in B.entries for x in row))
+    assert s > 1
+    B_int = ConnectionMatrix(B.basis, tuple(tuple(int(x * s) for x in row) for row in B.entries))
+    omegas = []
+    for M in (B, B_int):
+        got = solve_connection(P, M)
+        assert got.basis == P.col_basis
+        _same(got.entries, _dense_connection(P, M))
+        omegas.append(got.entries)
+    assert omegas[1] == tuple(tuple(s * x for x in row) for row in omegas[0])

@@ -678,22 +678,27 @@ def test_solve_connection_names_a_corrupted_numerator_row():
     # On the Selberg path, adding d to one numerator of the rows below makes
     # N·W = d·(B·N) fail first on that row.  (A corrupted (4, 5) row is
     # caught too, but first on the row (3, 5): through the frame rows of B
-    # it also changes W.)
+    # it also changes W.)  Concrete weights take the integer route, with
+    # B scaled by s > 1: some entry of B is not integral.
     p = _path(PATH_SELBERG)
-    w = Weights.generic(5)
-    B = combined_omega(p.T, p.Tprime, multiplicities(p), 5, 2, w)
-    P = projection_matrix(p.T, w)
-    assert P.denominator != 1
-    solve_connection(P, B)
-    for label in ((2, 3), (3, 4), (3, 5)):
-        i = P.row_basis.index(label)
-        for j in range(len(P.col_basis)):
-            N = [list(row) for row in P.numerators]
-            N[i][j] = N[i][j] + P.denominator  # P's entry plus 1
-            bad = ProjectionMatrix(P.row_basis, P.col_basis, tuple(map(tuple, N)), P.denominator)
-            with pytest.raises(InconsistentSystem) as exc:
-                solve_connection(bad, B)
-            assert exc.value.row_label == label, (label, j)
+    mult = multiplicities(p)
+    concrete = Weights.concrete(random_nonresonant_weights(random.Random(677), p.T))
+    for w in (Weights.generic(5), concrete):
+        B = combined_omega(p.T, p.Tprime, mult, 5, 2, w)
+        P = projection_matrix(p.T, w)
+        assert P.denominator != 1
+        if w is concrete:
+            assert any(x.denominator != 1 for row in B.entries for x in row)
+        solve_connection(P, B)
+        for label in ((2, 3), (3, 4), (3, 5)):
+            i = P.row_basis.index(label)
+            for j in range(len(P.col_basis)):
+                N = [list(row) for row in P.numerators]
+                N[i][j] = N[i][j] + P.denominator  # P's entry plus 1
+                bad = ProjectionMatrix(P.row_basis, P.col_basis, tuple(map(tuple, N)), P.denominator)
+                with pytest.raises(InconsistentSystem) as exc:
+                    solve_connection(bad, B)
+                assert exc.value.row_label == label, (w, label, j)
 
 
 def test_mat_mul_rejects_mismatched_inner_dimensions():
