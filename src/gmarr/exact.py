@@ -39,20 +39,32 @@ of two single terms is one term, with no product loop, and a difference is
 taken term by term, not as a sum with the negation.  The subresultant gcd
 runs only when both arguments have two or more terms.
 
-Monomials are ordered graded-lexicographically with ``l1 > l2 > ... > ln``;
-rendering follows that order descending, e.g. ``"l1^2 + 3*l1*l2 - 1/2"``.
-Rational functions render as ``"(numer)/(denom)"`` with the denominator
-omitted when it is 1.  Path polynomials render ascending: ``"1 - 2*t + t^2"``.
+Each monomial is one ``int`` key: the total degree in the top field, then the
+exponents of ``l1 .. ln`` in 32-bit fields, so int order is graded-lex order
+with ``l1 > l2 > ... > ln``.  A monomial product is one addition of keys, and
+one mask over the top (guard) bit of every field tests divisibility.  A total
+degree above ``MAX_DEGREE`` = 2^31 - 1 would reach a guard bit, so it raises
+:class:`DegreeLimitExceeded`, a ``ValueError``.  Rendering follows graded-lex
+order descending, e.g. ``"l1^2 + 3*l1*l2 - 1/2"``.  Rational functions render
+as ``"(numer)/(denom)"`` with the denominator omitted when it is 1.  Path
+polynomials render ascending: ``"1 - 2*t + t^2"``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add, sub
+from functools import cache, reduce
+from itertools import chain
+from operator import add, or_, sub
+from struct import Struct
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalarish = Union[int, Fraction, "MultiPoly", "RatFunc"]
+
+_FIELD = 32  # bits of one field of a monomial key (the "I" of _layout), guard bit included
+MAX_DEGREE = (1 << (_FIELD - 1)) - 1  # keeps every field below its guard bit
 
 
 class DenominatorVanishes(ArithmeticError):
@@ -64,6 +76,44 @@ class DenominatorVanishes(ArithmeticError):
         super().__init__(
             f"denominator {denominator} vanishes at ({', '.join(map(str, point))})"
         )
+
+
+class DegreeLimitExceeded(ValueError):
+    """A monomial of total degree above ``MAX_DEGREE``, which no key holds."""
+
+    def __init__(self, degree: int):
+        self.degree = degree
+        super().__init__(f"total degree {degree} exceeds the limit MAX_DEGREE = {MAX_DEGREE}")
+
+
+@cache
+def _layout(nvars: int) -> Struct:
+    """A key's bytes: the degree, then the exponents, as 32-bit unsigned ints."""
+    return Struct(f">{nvars + 1}I")
+
+
+def _pack(e: Sequence[int]) -> int:
+    """The key of the monomial with exponents ``e`` (nonnegative ints)."""
+    if (d := sum(e)) > MAX_DEGREE:
+        raise DegreeLimitExceeded(d)
+    return int.from_bytes(_layout(len(e)).pack(d, *e), "big")
+
+
+def _unpack(k: int, nvars: int) -> tuple[int, ...]:
+    """The exponents of ``l1 .. l{nvars}`` in the key ``k``."""
+    layout = _layout(nvars)
+    return layout.unpack(k.to_bytes(layout.size, "big"))[1:]
+
+
+@cache
+def _guard(nvars: int) -> int:
+    """G, the top bit of every field: b divides a iff ((a | G) - b) & G == G."""
+    return sum(1 << (_FIELD * i + _FIELD - 1) for i in range(nvars + 1))
+
+
+def _unit(nvars: int, v: int) -> int:
+    """The key of the variable of 0-based index ``v``."""
+    return _pack(tuple(int(i == v) for i in range(nvars)))
 
 
 def _as_fraction(c) -> Fraction:
@@ -98,12 +148,6 @@ def _cdiv(a, b) -> int | Fraction:
     return _coeff(Fraction(a, b))
 
 
-def _grlex(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    # graded-lex key: total degree first, then the exponent vector itself
-    # (tuple comparison puts higher powers of earlier variables first).
-    return (sum(e), e)
-
-
 def _render_terms(ordered: Iterable[tuple[str, Fraction]]) -> str:
     """Join (monomial-string, coefficient) pairs with " + " / " - "."""
     parts: list[str] = []
@@ -122,28 +166,30 @@ def _render_terms(ordered: Iterable[tuple[str, Fraction]]) -> str:
     return "".join(parts) if parts else "0"
 
 
-def _from_terms(cls: type, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
-    """A ``cls`` (MultiPoly or PathPoly) over terms that are already canonical
-    (valid exponents, nonzero coefficients in stored form), skipping the
+def _from_terms(cls: type, nvars: int, terms: dict[int, Fraction]) -> "MultiPoly":
+    """A ``cls`` (MultiPoly or PathPoly) over packed terms that are already
+    canonical (nonzero coefficients in stored form), skipping the
     constructor's validation."""
     out = cls.__new__(cls)
-    out.nvars, out.terms, out._hash = nvars, terms, None
+    out.nvars, out._terms, out._hash = nvars, terms, None
     return out
 
 
 class MultiPoly:
     """Sparse polynomial in ``nvars`` variables over the rationals.
 
-    ``terms`` maps exponent tuples (length ``nvars``) to nonzero
-    coefficients, each an ``int`` when integral and a ``Fraction`` otherwise.
-    Instances are treated as immutable; do not mutate ``terms``.
+    ``_terms`` maps monomial keys (``_pack``: total degree on top, then one
+    32-bit field per variable) to nonzero coefficients, each an ``int`` when
+    integral and a ``Fraction`` otherwise; a total degree above
+    ``MAX_DEGREE`` raises :class:`DegreeLimitExceeded`.  ``terms`` is a
+    read-only view keyed by exponent tuples.  Instances are immutable.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "_terms", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[int, Fraction] = {}
         if terms:
             for e, c in terms.items():
                 c = _coeff(c)
@@ -151,9 +197,14 @@ class MultiPoly:
                     continue
                 if len(e) != nvars or any(k < 0 for k in e):
                     raise ValueError(f"bad exponent vector {e} for {nvars} variables")
-                clean[tuple(e)] = c
-        self.terms = clean
+                clean[_pack(e)] = c
+        self._terms = clean
         self._hash = None
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], int | Fraction]:
+        """Read-only view: exponent tuple -> coefficient."""
+        return MappingProxyType({_unpack(k, self.nvars): c for k, c in self._terms.items()})
 
     # -- constructors ----------------------------------------------------
 
@@ -164,47 +215,46 @@ class MultiPoly:
     @classmethod
     def const(cls, nvars: int, c) -> "MultiPoly":
         c = _coeff(c)
-        return _from_terms(cls, nvars, {(0,) * nvars: c} if c else {})
+        return _from_terms(cls, nvars, {0: c} if c else {})
 
     @classmethod
     def variable(cls, nvars: int, j: int) -> "MultiPoly":
         """The variable ``l{j}`` (1-based)."""
         if not 1 <= j <= nvars:
             raise ValueError(f"variable index {j} out of range 1..{nvars}")
-        e = (0,) * (j - 1) + (1,) + (0,) * (nvars - j)
-        return _from_terms(cls, nvars, {e: 1})
+        return _from_terms(cls, nvars, {_unit(nvars, j - 1): 1})
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0,) * self.nvars in self.terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def const_value(self) -> int | Fraction:
-        if not self.terms:
+        if not self._terms:
             return 0
         if self.is_const():
-            return self.terms[(0,) * self.nvars]
+            return self._terms[0]
         raise ValueError(f"{self} is not constant")
 
     def is_one(self) -> bool:
         return self.is_const() and self.const_value() == 1
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def total_degree(self) -> int:
         # degree of the zero polynomial reported as -1
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(self._terms) >> (_FIELD * self.nvars) if self._terms else -1
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """Leading (exponent, coefficient) in graded-lex order."""
-        if not self.terms:
+        if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
+        k = max(self._terms)
+        return _unpack(k, self.nvars), self._terms[k]
 
     # -- ring operations -------------------------------------------------
 
@@ -220,20 +270,21 @@ class MultiPoly:
             return other
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
-            return _from_terms(type(self), self.nvars, {(0,) * self.nvars: c} if c else {})
+            return _from_terms(type(self), self.nvars, {0: c} if c else {})
         return None
 
     def _merge(self, other, op):  # op is add or sub, applied term by term
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for e, c in o.terms.items():
-            if s := op(terms.get(e, 0), c):
-                terms[e] = s
+        if type(other) is not type(self) or other.nvars != self.nvars:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        terms = dict(self._terms)
+        for k, c in other._terms.items():
+            if s := op(terms.get(k, 0), c):
+                terms[k] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
-                terms.pop(e, None)
-        return _from_terms(type(self), self.nvars, _ints(terms))
+                terms.pop(k, None)
+        return _from_terms(type(self), self.nvars, terms)
 
     def __add__(self, other):
         return self._merge(other, add)
@@ -241,7 +292,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _from_terms(type(self), self.nvars, {e: -c for e, c in self.terms.items()})
+        return _from_terms(type(self), self.nvars, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         return self._merge(other, sub)
@@ -253,33 +304,39 @@ class MultiPoly:
         return o - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # scalar: scale the coefficients, no product of term lists
-            terms = {e: c * other for e, c in self.terms.items()} if other else {}
-            return _from_terms(type(self), self.nvars, _ints(terms))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.terms or not o.terms:
+        if type(other) is not type(self) or other.nvars != self.nvars:
+            if isinstance(other, (int, Fraction)):
+                # scalar: scale the coefficients, no product of term lists
+                terms = {k: c * other for k, c in self._terms.items()} if other else {}
+                return _from_terms(type(self), self.nvars, _ints(terms))
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self._terms, other._terms
+        if not a or not b:
             return _from_terms(type(self), self.nvars, {})
-        if len(self.terms) == 1 and len(o.terms) == 1:
-            # term times term: one exponent sum, one coefficient product
-            ((ea, ca),), ((eb, cb),) = self.terms.items(), o.terms.items()
+        top = (max(a) + max(b)) >> (_FIELD * self.nvars)
+        if top > MAX_DEGREE:
+            raise DegreeLimitExceeded(top)
+        if len(a) == 1 and len(b) == 1:
+            # term times term: one key sum, one coefficient product
+            ((ka, ca),), ((kb, cb),) = a.items(), b.items()
             c = ca * cb
             if type(c) is not int and c.denominator == 1:
                 c = c.numerator
-            return _from_terms(type(self), self.nvars, {tuple(map(add, ea, eb)): c})
+            return _from_terms(type(self), self.nvars, {ka + kb: c})
         # multiply the smaller term list into the larger one
-        a, b = (self.terms, o.terms) if len(self.terms) <= len(o.terms) else (o.terms, self.terms)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(map(add, ea, eb))
-                s = terms.get(e, 0) + ca * cb
+        if len(a) > len(b):
+            a, b = b, a
+        terms: dict[int, Fraction] = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                s = terms.get(k, 0) + ca * cb
                 if s:
-                    terms[e] = s
+                    terms[k] = s
                 else:
-                    del terms[e]
+                    del terms[k]
         return _from_terms(type(self), self.nvars, _ints(terms))
 
     __rmul__ = __mul__
@@ -299,7 +356,7 @@ class MultiPoly:
             return (
                 type(other) is type(self)
                 and self.nvars == other.nvars
-                and self.terms == other.terms
+                and self._terms == other._terms
             )
         if isinstance(other, RatFunc):
             return other == self
@@ -310,7 +367,7 @@ class MultiPoly:
             if self.is_const():
                 self._hash = hash(self.const_value())
             else:
-                self._hash = hash((self.nvars, frozenset(self.terms.items())))
+                self._hash = hash((self.nvars, frozenset(self._terms.items())))
         return self._hash
 
     # -- evaluation and rendering ----------------------------------------
@@ -320,23 +377,22 @@ class MultiPoly:
             raise ValueError(f"expected {self.nvars} values, got {len(values)}")
         vals = [_as_fraction(v) for v in values]
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for k, c in self._terms.items():
             term = c
-            for v, k in zip(vals, e):
-                if k:
-                    term *= v**k
+            for v, e in zip(vals, _unpack(k, self.nvars)):
+                if e:
+                    term *= v**e
             total += term
         return total
 
     def render(self) -> str:
-        ordered = sorted(self.terms, key=_grlex, reverse=True)
-        def mono(e: tuple[int, ...]) -> str:
+        def mono(k: int) -> str:
             return "*".join(
-                f"l{i + 1}^{k}" if k > 1 else f"l{i + 1}"
-                for i, k in enumerate(e)
-                if k
+                f"l{i + 1}^{e}" if e > 1 else f"l{i + 1}"
+                for i, e in enumerate(_unpack(k, self.nvars))
+                if e
             )
-        return _render_terms((mono(e), self.terms[e]) for e in ordered)
+        return _render_terms((mono(k), c) for k, c in sorted(self._terms.items(), reverse=True))
 
     __str__ = render
 
@@ -358,60 +414,60 @@ def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return a
     if b.is_const():
         return a * _cdiv(1, b.const_value())
-    if len(b.terms) == 1:
-        # monomial divisor: shift every exponent, scale every coefficient
-        ((eb, cb),) = b.terms.items()
+    guard = _guard(a.nvars)
+    if len(b._terms) == 1:
+        # monomial divisor: shift every key, scale every coefficient
+        ((kb, cb),) = b._terms.items()
         quot = {}
-        for ea, ca in a.terms.items():
-            eq = tuple(map(sub, ea, eb))
-            if min(eq) < 0:
+        for ka, ca in a._terms.items():
+            if ((ka | guard) - kb) & guard != guard:
                 raise ValueError(f"({b}) does not divide ({a})")
-            quot[eq] = _cdiv(ca, cb)
+            quot[ka - kb] = _cdiv(ca, cb)
         return _from_terms(type(a), a.nvars, quot)
-    eb, cb = b.leading()
-    rem = dict(a.terms)
-    quot: dict[tuple[int, ...], Fraction] = {}
+    kb = max(b._terms)
+    cb = b._terms[kb]
+    rem = dict(a._terms)
+    quot: dict[int, Fraction] = {}
     while rem:
-        er = max(rem, key=_grlex)
-        eq = tuple(x - y for x, y in zip(er, eb))
-        if any(k < 0 for k in eq):
+        kr = max(rem)
+        if ((kr | guard) - kb) & guard != guard:
             raise ValueError(f"({b}) does not divide ({a})")
-        cq = _cdiv(rem[er], cb)
-        quot[eq] = cq
-        for e2, c2 in b.terms.items():
-            e = tuple(x + y for x, y in zip(eq, e2))
-            s = rem.get(e, 0) - cq * c2
+        kq = kr - kb
+        cq = _cdiv(rem[kr], cb)
+        quot[kq] = cq
+        for k2, c2 in b._terms.items():
+            k = kq + k2
+            s = rem.get(k, 0) - cq * c2
             if s:
-                rem[e] = s
+                rem[k] = s
             else:
-                rem.pop(e, None)
+                rem.pop(k, None)
     return _from_terms(type(a), a.nvars, quot)
 
 
 def _top_variable(a: MultiPoly, b: MultiPoly) -> int | None:
     """Smallest variable index (0-based) occurring in either polynomial."""
-    for i in range(a.nvars):
-        if any(e[i] for e in a.terms) or any(e[i] for e in b.terms):
-            return i
-    return None
+    # or-ing the keys keeps every field nonzero that is nonzero in some key
+    e = _unpack(reduce(or_, chain(a._terms, b._terms), 0), a.nvars)
+    return next((i for i, k in enumerate(e) if k), None)
 
 
 def _to_univar(p: MultiPoly, v: int) -> list[MultiPoly]:
     """Coefficients of p as a polynomial in variable v; index = power of v."""
-    deg = max((e[v] for e in p.terms), default=0)
-    buckets: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(deg + 1)]
-    for e, c in p.terms.items():
-        stripped = tuple(0 if i == v else k for i, k in enumerate(e))
-        buckets[e[v]][stripped] = c
+    unit = _unit(p.nvars, v)
+    powers = [(_unpack(k, p.nvars)[v], k, c) for k, c in p._terms.items()]
+    buckets: list[dict] = [{} for _ in range(max((j for j, _, _ in powers), default=0) + 1)]
+    for j, k, c in powers:
+        buckets[j][k - j * unit] = c
     return [_from_terms(type(p), p.nvars, b) for b in buckets]
 
 
 def _from_univar(coeffs: Sequence[MultiPoly], v: int, nvars: int) -> MultiPoly:
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for k, c in enumerate(coeffs):
-        for e, q in c.terms.items():
-            e2 = tuple(ei + k if i == v else ei for i, ei in enumerate(e))
-            terms[e2] = q
+    unit = _unit(nvars, v)
+    terms: dict[int, Fraction] = {}
+    for j, c in enumerate(coeffs):
+        for k, q in c._terms.items():
+            terms[k + j * unit] = q
     return _from_terms(type(coeffs[0]), nvars, terms)
 
 
@@ -475,12 +531,12 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         p = b if a.is_zero() else a
         _, lc = p.leading()
         return p * _cdiv(1, lc)
-    if len(a.terms) == 1 or len(b.terms) == 1:
+    if len(a._terms) == 1 or len(b._terms) == 1:
         # a monomial's divisors are monomials: take the least exponent of
         # each variable over every term of both arguments (a nonzero
         # constant is the monomial of exponent zero, so its gcd is 1)
-        e = tuple(map(min, *a.terms, *b.terms))
-        return _from_terms(type(a), a.nvars, {e: 1})
+        e = map(min, *(_unpack(k, a.nvars) for k in chain(a._terms, b._terms)))
+        return _from_terms(type(a), a.nvars, {_pack(tuple(e)): 1})
 
     v = _top_variable(a, b)
     fa, fb = _to_univar(a, v), _to_univar(b, v)
@@ -634,8 +690,8 @@ class PathPoly(MultiPoly):
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Dense coefficients up to the degree; empty for the zero polynomial."""
-        size = max((k for (k,) in self.terms), default=-1) + 1
-        return tuple(self.terms.get((i,), 0) for i in range(size))
+        dense = {_unpack(k, 1)[0]: c for k, c in self._terms.items()}
+        return tuple(dense.get(i, 0) for i in range(max(dense, default=-1) + 1))
 
     def evaluate(self, t) -> Fraction:
         return super().evaluate((t,))
@@ -643,14 +699,15 @@ class PathPoly(MultiPoly):
     def ord_t(self) -> int | None:
         """Order of vanishing at t = 0: the lowest power of t with a nonzero
         coefficient; None for zero."""
-        return min((k for (k,) in self.terms), default=None)
+        return _unpack(min(self._terms), 1)[0] if self._terms else None
 
     def render(self) -> str:
-        def mono(i: int) -> str:
+        def mono(k: int) -> str:
+            (i,) = _unpack(k, 1)
             if i == 0:
                 return ""
             return "t" if i == 1 else f"t^{i}"
-        return _render_terms((mono(k), self.terms[(k,)]) for (k,) in sorted(self.terms))
+        return _render_terms((mono(k), c) for k, c in sorted(self._terms.items()))
 
     __str__ = render
 
@@ -699,7 +756,7 @@ def parse_path_poly(text: str) -> PathPoly:
         chunks = ["+"] + chunks
     if len(chunks) % 2 != 0:
         raise ValueError(f"malformed path polynomial {text!r}")
-    terms: dict[tuple[int], Fraction] = {}
+    terms: dict[int, Fraction] = {}
     for sign, term in zip(chunks[::2], chunks[1::2]):
         m = _PATH_TERM_RE.match(term.replace(" ", ""))
         if not m or (m.group("coeff") is None and m.group("t") is None):
@@ -721,5 +778,5 @@ def parse_path_poly(text: str) -> PathPoly:
                 f"power t^{k} in path polynomial {text!r} exceeds the limit "
                 f"t^{MAX_T_DEGREE}"
             )
-        terms[(k,)] = terms.get((k,), 0) + c
-    return _from_terms(PathPoly, 1, {e: _coeff(c) for e, c in terms.items() if c})
+        terms[k] = terms.get(k, 0) + c
+    return _from_terms(PathPoly, 1, {_pack((k,)): _coeff(c) for k, c in terms.items() if c})

@@ -6,7 +6,10 @@ Gauss-Jordan over Fraction, ranks come from that elimination, the graded
 quotient used to cross-check straightening/projection is rebuilt from raw
 monomial indicator vectors, and matrices of rational functions are
 multiplied and compared as unreduced (numerator, denominator) pairs with
-ring operations only (no gcd, no exact division).
+ring operations only (no gcd, no exact division), and sparse polynomials are
+dictionaries from exponent tuples to ``Fraction`` coefficients, ordered by
+comparing (total degree, exponents) as tuples, without the package's
+monomial keys.
 """
 
 from __future__ import annotations
@@ -148,6 +151,35 @@ def pair_matrices_eq(A, B) -> bool:
         len(ra) == len(rb) and all(pair_eq(x, y) for x, y in zip(ra, rb))
         for ra, rb in zip(A, B)
     )
+
+
+# ---------------------------------------------------------------------------
+# sparse polynomials as exponent-tuple dictionaries
+# ---------------------------------------------------------------------------
+
+
+def grlex(e):
+    """Graded-lex sort key of an exponent tuple: total degree first, then the
+    exponents themselves, so higher powers of earlier variables come first."""
+    return (sum(e), tuple(e))
+
+
+def tuple_poly_add(a, b, sign=1):
+    """a + sign·b over exponent-tuple dictionaries, zero terms dropped."""
+    out = {e: Fraction(c) for e, c in a.items()}
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * Fraction(c)
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_poly_mul(a, b):
+    """a·b over exponent-tuple dictionaries, every pair of terms multiplied."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + Fraction(ca) * Fraction(cb)
+    return {e: c for e, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
