@@ -81,12 +81,14 @@ class Realization:
     """n ordered affine hyperplanes in C^ℓ, rational or one-parameter.
 
     ``rows`` is set once in ``__init__``; nothing in this package reassigns
-    it.  ``type_at`` memoizes the type of a specialization on the instance,
-    and an entry is used only while ``rows`` is the object it was computed
-    from.
+    it.  ``type_at`` memoizes the type of a specialization on the instance.
+    Every specialization of one path shares one table of the minors made
+    only of unmoving rows (rows of constant entries, and the row at
+    infinity), whose value is the same at every t.  A memo entry or a table
+    is used only while ``rows`` is the object it was computed from.
     """
 
-    __slots__ = ("n", "ell", "rows", "is_path", "_types")
+    __slots__ = ("n", "ell", "rows", "is_path", "_types", "_fixed")
 
     def __init__(self, rows: Sequence[Sequence], *, allow_coincident: bool = False):
         rows = [list(r) for r in rows]
@@ -107,6 +109,9 @@ class Realization:
         self.rows = tuple(tuple(lift(e) for e in r) for r in rows)
         self.is_path = is_path
         self._types = None
+        # (rows, unmoving indices, {I: minor}): on a path, the table its
+        # specializations share; on a specialization, the table ``minor`` reads
+        self._fixed = None
         self._validate(allow_coincident)
 
     # -- validation --------------------------------------------------------
@@ -153,23 +158,40 @@ class Realization:
         raise ValueError(f"row index {i} out of range 1..{self.n + 1}")
 
     def minor(self, I: Iterable[int]):
-        """Exact determinant of the rows indexed by the sorted (ℓ+1)-set I."""
+        """Exact determinant of the rows indexed by the sorted (ℓ+1)-set I.
+
+        On a specialization of a path, a minor made only of the path's
+        unmoving rows is read from the table the path's specializations
+        share, or computed and stored there."""
         I = tuple(I)
         if len(I) != self.ell + 1 or len(set(I)) != len(I) or list(I) != sorted(I):
             raise ValueError(f"index set {I} must be a sorted ({self.ell + 1})-subset")
         if not all(1 <= i <= self.n + 1 for i in I):
             raise ValueError(f"index set {I} out of range 1..{self.n + 1}")
-        return _det_small([list(self.row(i)) for i in I])
+        fixed = self._fixed
+        if self.is_path or fixed is None or fixed[0] is not self.rows or not fixed[1].issuperset(I):
+            return _det_small([list(self.row(i)) for i in I])
+        value = fixed[2].get(I)
+        if value is None:
+            value = fixed[2][I] = _det_small([list(self.row(i)) for i in I])
+        return value
 
     def specialize(self, t) -> "Realization":
         """Evaluate a path realization at a parameter value.  Rows may
         coincide only at t = 0, the degenerate end of a path; at any other t
-        coincident rows raise RealizationError."""
+        coincident rows raise RealizationError.  The result shares the path's
+        table of unmoving-row minors (see ``minor``)."""
         if not self.is_path:
             raise ValueError("specialize applies to path realizations")
         t = _as_fraction(t)
         rows = [[e.evaluate(t) for e in r] for r in self.rows]
-        return Realization(rows, allow_coincident=not t)
+        out = Realization(rows, allow_coincident=not t)
+        fixed = self._fixed
+        if fixed is None or fixed[0] is not self.rows:
+            unmoving = [i for i, r in enumerate(self.rows, start=1) if all(e.is_const() for e in r)]
+            fixed = self._fixed = (self.rows, frozenset(unmoving + [self.n + 1]), {})
+        out._fixed = (out.rows, fixed[1], fixed[2])
+        return out
 
     def type_at(self, t) -> "CombinatorialType":
         """``compute_type(self.specialize(t))``, computed at most once per t

@@ -80,9 +80,12 @@ class DegenerationPath:
     degenerate type T' (at t = 0).
 
     Both types come from ``realization.type_at``, so they are computed once
-    and kept on the realization for ``multiplicities`` to check against.
+    and kept on the realization for ``multiplicities`` to check against, and
+    the minors made only of unmoving rows are computed at the witness and
+    read back at t = 0.
     Rows may coincide at t = 0 only: the witness is nonzero, and there
-    ``type_at`` refuses coincident rows.
+    ``type_at`` refuses coincident rows.  A row that vanishes at either end
+    is a ``PathError`` naming that end.
     Declared types, when supplied, are checked against the computed ones;
     mismatches are reported with the offending subsets.
     """
@@ -110,7 +113,10 @@ class DegenerationPath:
             T = realization.type_at(t_star)
         except RealizationError as e:
             raise PathError(f"path is degenerate at the witness t = {t_star}: {e}") from e
-        Tprime = realization.type_at(0)
+        try:
+            Tprime = realization.type_at(0)
+        except RealizationError as e:
+            raise PathError(f"path is degenerate at t = 0: {e}") from e
         if declared_T is not None and declared_T != T:
             raise PathError(_declared_mismatch("T at the witness", declared_T, T))
         if declared_Tprime is not None and declared_Tprime != Tprime:

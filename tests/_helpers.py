@@ -547,11 +547,12 @@ def random_realization(rng: random.Random, n: int, ell: int, forced: int = 0) ->
 def ladder_path(rng: random.Random, n: int, ell: int, k: int):
     """A ladder path with witness t = 1: k hyperplanes u_ell = c*t
     (c = 0, 2, 3, ...) that meet at t = 0, and n - k fixed ones with entries
-    in ±[1, 9]."""
+    in ±[1, 9].  Gives up after 1000 draws, so a broken typing fails
+    instead of looping."""
     from gmarr.exact import PathPoly
     from gmarr.gauss_manin import DegenerationPath, PathError
 
-    while True:
+    for _ in range(1000):
         positions = set(rng.sample(range(n), k))
         cs = iter([0] + list(range(2, k + 1)))
         rows = []
@@ -564,6 +565,28 @@ def ladder_path(rng: random.Random, n: int, ell: int, k: int):
         try:
             return DegenerationPath(Realization(rows), 1)
         except (PathError, RealizationError):
+            continue
+    raise AssertionError(f"no ladder path with n={n}, ell={ell}, k={k} in 1000 draws")
+
+
+def pencil_path(rng: random.Random, n: int, ell: int) -> Realization:
+    """A path realization in which one row moves into the pencil of two
+    others: rows with entries in {-2, ..., 2}, and a random row k is
+    r_k(t) = (a·r_i + b·r_j) + t·(r_k − a·r_i − b·r_j) for small nonzero a
+    and b.  The other rows stay where they are.  The path need not be a
+    degeneration."""
+    from gmarr.exact import PathPoly
+
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(ell + 1)] for _ in range(n)]
+        k, i, j = rng.sample(range(n), 3)
+        a, b = (rng.choice((-2, -1, 1, 2)) for _ in range(2))
+        into = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+        path = [[PathPoly([x]) for x in row] for row in rows]
+        path[k] = [PathPoly([p, x - p]) for p, x in zip(into, rows[k])]
+        try:
+            return Realization(path)
+        except RealizationError:
             continue
 
 

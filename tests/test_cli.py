@@ -594,6 +594,19 @@ def test_rejected_path_prints_only_its_error(tmp_path, capsys):
             assert json.loads(out)["error"].startswith(message)
 
 
+def test_row_vanishing_at_zero_names_that_end(tmp_path, capsys):
+    # row 4 is t·(1, 1, 1): nonzero at the witness, zero at t = 0
+    doc = {"n": 4, "ell": 2, "rows": [["0", "1", "1"], ["0", "1", "0"], ["0", "1", "-1"], ["t", "t", "t"]],
+           "weights": "generic", "t_witness": "1"}
+    message = "path is degenerate at t = 0: row 4 is zero"
+    f = tmp_path / "vanishing_row.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "multiplicity", str(f))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    code, out, err = run(capsys, "multiplicity", "--format", "json", str(f))
+    assert (code, err) == (1, "") and json.loads(out) == {"error": message}
+
+
 def test_connection_triple_point_2_json(capsys):
     code, out, _ = run(
         capsys, "connection", "--format", "json", fx("triple_point_path_2.json")

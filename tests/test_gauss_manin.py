@@ -7,6 +7,7 @@ package's polynomial arithmetic.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -51,7 +52,9 @@ from _helpers import (
     pair_matrices_eq,
     pair_matrix,
     pair_mul,
+    pencil_path,
     random_nonresonant_weights,
+    rref_rank,
 )
 
 
@@ -348,6 +351,157 @@ def test_type_at_follows_replaced_rows():
     r.rows = other.rows
     assert r.type_at(1) == other.type_at(1)
     assert r.type_at(0) == other.type_at(0)
+    # rows 1–3 stay the unmoving ones, but no longer meet in a point: a
+    # minor kept from the old rows would still call (1, 2, 3) dependent
+    moved = _path([["1", "1", "1"], *PATH_T3[1:]]).realization
+    assert (1, 2, 3) in r.type_at(0).dep and (1, 2, 3) not in moved.type_at(0).dep
+    r.rows = moved.rows
+    assert r.type_at(1) == moved.type_at(1)
+    assert r.type_at(0) == moved.type_at(0)
+    # so does a specialization whose own rows are replaced
+    at_one = r.specialize(1)
+    assert at_one.minor((1, 2, 3))
+    at_one.rows = path_rows(PATH_T1).specialize(1).rows
+    assert not at_one.minor((1, 2, 3))
+
+
+# every row moves; the witness type is general position, and (1, 3, 5)
+# becomes dependent at t = 0
+PATH_ALL_MOVING = [
+    ["t", "-1", "1 + t"],
+    ["1 - t", "1", "1 + t"],
+    ["1 - t", "1 + t", "-1 + t"],
+    ["1", "-t", "-1"],
+]
+
+
+def _unmoving(r):
+    """Indices of the closure whose rows are the same at every t: rows of
+    constant entries, and the row at infinity."""
+    fixed = {i for i, row in enumerate(r.rows, start=1) if all(len(e.coeffs) <= 1 for e in row)}
+    return fixed | {r.n + 1}
+
+
+def _fresh_dep(r, t):
+    """dep of the path at t, from rows evaluated afresh and cofactor
+    determinants; None where the rows at t are no realization (a zero row,
+    or away from t = 0 two proportional rows or a zero linear part)."""
+    rows = [[sum(c * t**k for k, c in enumerate(e.coeffs)) for e in row] for row in r.rows]
+    if not all(map(any, rows)):
+        return None
+    if t and (not all(any(row[1:]) for row in rows)
+              or any(rref_rank([a, b]) < 2 for a, b in itertools.combinations(rows, 2))):
+        return None
+    closure = rows + [[1] + [0] * r.ell]
+    return {
+        I
+        for I in itertools.combinations(range(1, r.n + 2), r.ell + 1)
+        if not cofactor_det([closure[i - 1] for i in I])
+    }
+
+
+def _moving_rows(rng, n, ell):
+    """A path realization in which every row moves: p + t·q, entries of p and
+    q in {-2, ..., 2}, each row with some q ≠ 0."""
+    while True:
+        rows = [[PathPoly([rng.randint(-2, 2), rng.randint(-2, 2)]) for _ in range(ell + 1)]
+                for _ in range(n)]
+        if any(all(len(e.coeffs) <= 1 for e in row) for row in rows):
+            continue
+        try:
+            return Realization(rows)
+        except RealizationError:
+            continue
+
+
+def _typing_paths(rng):
+    """Path realizations for the typing property, drawn one at a time."""
+    yield path_rows(PATH_T1)
+    yield path_rows(PATH_ALL_MOVING)
+    for n, ell, k in ((6, 2, 2), (7, 2, 3), (7, 3, 2), (8, 3, 4)):
+        yield Realization(ladder_path(rng, n, ell, k).realization.rows)
+    for n, ell in itertools.product((6, 7), (2, 3)):
+        for _ in range(3):
+            yield pencil_path(rng, n, ell)
+    for n, ell in ((5, 2), (6, 2), (6, 3), (7, 3)):
+        yield _moving_rows(rng, n, ell)
+
+
+def test_type_at_matches_fresh_cofactor_dep():
+    """Typed at the witness, then at 0 and 1/2 from the same realization
+    (so the later types read minors kept from the first), every type equals
+    the dep of freshly evaluated rows."""
+    seen, typed, paths = set(), 0, 0
+    for r in _typing_paths(random.Random(22)):
+        paths += 1
+        fixed = _unmoving(r)
+        if fixed == {r.n + 1}:
+            seen.add("no unmoving finite row")
+        if len(fixed) == r.n:
+            seen.add("one moving row")
+        for t in (Fraction(1), Fraction(0), Fraction(1, 2)):
+            dep = _fresh_dep(r, t)
+            if dep is None:
+                with pytest.raises(RealizationError):
+                    r.type_at(t)
+                continue
+            assert r.type_at(t).dep == dep, (r.rows, t)
+            typed += 1
+            if any(fixed.issuperset(J) for J in dep):
+                seen.add("dependent unmoving subset")
+    assert seen == {"no unmoving finite row", "one moving row", "dependent unmoving subset"}
+    assert typed >= 2 * paths
+
+
+def _top_level_dets(monkeypatch, ell):
+    """A list that gains one entry per top-level ``_det_small`` call (an
+    (ℓ+1)×(ℓ+1) matrix; the recursive calls are smaller)."""
+    from gmarr import arrangement
+
+    real, calls = arrangement._det_small, []
+
+    def counted(rows):
+        if len(rows) == ell + 1:
+            calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(arrangement, "_det_small", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make, u", [
+    (lambda: path_rows(PATH_T1), 4),  # rows 1–3 and infinity
+    (lambda: path_rows(PATH_SELBERG), 4),  # rows 1–3 and infinity
+    # the five fixed rows, the rung u_3 = 0 (c = 0) and infinity
+    (lambda: Realization(ladder_path(random.Random(5), 7, 3, 2).realization.rows), 7),
+    (lambda: path_rows(PATH_ALL_MOVING), 1),  # infinity only: nothing shared
+], ids=["triple-point", "selberg", "ladder-7-3-2", "all-moving"])
+def test_path_endpoints_share_unmoving_minors(monkeypatch, make, u):
+    """Typing both endpoints evaluates 2·C(n+1, ℓ+1) − C(u, ℓ+1) minors: the
+    ones made only of the u unmoving rows are computed once."""
+    r = make()
+    assert len(_unmoving(r)) == u
+    calls = _top_level_dets(monkeypatch, r.ell)
+    DegenerationPath(r, 1)
+    assert len(calls) == 2 * math.comb(r.n + 1, r.ell + 1) - math.comb(u, r.ell + 1)
+    if u > r.ell:  # the path's own unmoving minor is still a polynomial in t
+        assert isinstance(r.minor(sorted(_unmoving(r))[: r.ell + 1]), PathPoly)
+
+
+def test_rational_compute_type_evaluates_every_minor(monkeypatch):
+    r = rational_rows(TRIPLE_POINT_ROWS)
+    calls = _top_level_dets(monkeypatch, r.ell)
+    assert compute_type(r) == compute_type(r)
+    assert len(calls) == 2 * math.comb(5, 3)
+
+
+def test_path_typing_refuses_oversized_inputs_before_any_minor(monkeypatch):
+    from gmarr import arrangement
+
+    monkeypatch.setattr(arrangement, "MAX_TYPE_PRODUCTS", 59)
+    monkeypatch.setattr(arrangement, "_det_small", lambda rows: pytest.fail("a minor was evaluated"))
+    with pytest.raises(ValueError, match=r"= 60 cofactor products: over the limit 59$"):
+        DegenerationPath(path_rows(PATH_T1), 1)
 
 
 # ---------------------------------------------------------------------------
