@@ -5,7 +5,9 @@ the locus where one (ℓ+1)-subset J of the closed arrangement degenerates is
 known in closed form on the standard top-cohomology basis (ℓ-subsets of
 [2..n]).  There are four shapes, split by J ∩ {1, n+1}; all entries are
 integer-coefficient linear forms in λ₁..λₙ (the weight of the hyperplane at
-infinity is always eliminated).
+infinity is always eliminated).  ``_block`` yields the entries of one block
+Ω_J; ``_weighted_sum`` is the one builder of a matrix Σ m_J·Ω_J, and
+``omega_general`` is its one-term sum.
 """
 
 from __future__ import annotations
@@ -57,33 +59,11 @@ class ConnectionMatrix:
 MAX_GENERAL_BASIS = 500
 
 
-def _from_rows(basis, rows: dict[int, dict[int, object]], zero) -> ConnectionMatrix:
-    """The square matrix with the entries ``rows[i][j]`` and ``zero`` elsewhere."""
-    zero_row = (zero,) * len(basis)
-    entries = [zero_row] * len(basis)
-    for i, row in rows.items():
-        full = list(zero_row)
-        for j, x in row.items():
-            full[j] = x
-        entries[i] = tuple(full)
-    return ConnectionMatrix(basis=basis, entries=tuple(entries))
-
-
 def _general_basis(n: int, ell: int) -> tuple[tuple[int, ...], ...]:
     if (size := math.comb(n - 1, ell)) > MAX_GENERAL_BASIS:
         raise ValueError(f"the general-position basis for n={n}, ell={ell} has "
                          f"C({n - 1}, {ell}) = {size} frames: over the limit {MAX_GENERAL_BASIS}")
     return tuple(itertools.combinations(range(2, n + 1), ell))
-
-
-def _frames_and_weights(n: int, ell: int, w: Weights | None):
-    """The general-position basis, the weights and each frame's position."""
-    basis = _general_basis(n, ell)  # refuses an oversized basis before building weights
-    if w is None:
-        w = Weights.generic(n)
-    elif w.n != n:
-        raise ValueError(f"weights are for n={w.n}, expected n={n}")
-    return basis, w, {B: i for i, B in enumerate(basis)}
 
 
 def _block(J: tuple[int, ...], w: Weights, basis, index):
@@ -133,9 +113,7 @@ def _block(J: tuple[int, ...], w: Weights, basis, index):
                     yield index[I], index[Ip], lam if epsilon(I, Ip) == 1 else -lam
 
 
-def omega_general(
-    J: Iterable[int], n: int, ell: int, w: Weights | None = None
-) -> ConnectionMatrix:
+def omega_general(J: Iterable[int], n: int, ell: int, w: Weights | None = None) -> ConnectionMatrix:
     """Connection matrix for the degeneration of the single subset J in the
     general-position type on n hyperplanes in dimension ℓ."""
     if not 1 <= ell <= n:
@@ -147,21 +125,27 @@ def omega_general(
         raise ValueError(f"J = {J} must have ell + 1 = {ell + 1} elements")
     if not (1 <= J[0] and J[-1] <= n + 1):
         raise ValueError(f"J = {J} out of range 1..{n + 1}")
-    basis, w, index = _frames_and_weights(n, ell, w)
-    rows: dict[int, dict[int, object]] = {}
-    for i, j, x in _block(J, w, basis, index):
-        rows.setdefault(i, {})[j] = x
-    return _from_rows(basis, rows, w.zero_scalar())
+    return _weighted_sum(((J, 1),), n, ell, w)
 
 
 def _weighted_sum(terms, n: int, ell: int, w: Weights | None = None) -> ConnectionMatrix:
-    """Σ m · omega_general(J) over the (J, m) of ``terms``, added in their
-    order into one table of rows; a zero block entry adds nothing."""
-    basis, w, index = _frames_and_weights(n, ell, w)
+    """Σ m · Ω_J over the (J, m) of ``terms``, added in their order into one
+    table of rows; a zero block entry adds nothing, and every entry no block
+    sets is ``w.zero_scalar()``."""
+    basis = _general_basis(n, ell)  # refuses an oversized basis before building weights
+    if w is None:
+        w = Weights.generic(n)
+    elif w.n != n:
+        raise ValueError(f"weights are for n={w.n}, expected n={n}")
+    index = {B: i for i, B in enumerate(basis)}
     rows: dict[int, dict[int, object]] = {}
     for J, m in terms:
         for i, j, x in _block(J, w, basis, index):
             if x:
                 row = rows.setdefault(i, {})
                 row[j] = m * x if (y := row.get(j)) is None else y + m * x
-    return _from_rows(basis, rows, w.zero_scalar())
+    zero_row = (w.zero_scalar(),) * len(basis)
+    entries = [zero_row] * len(basis)
+    for i, row in rows.items():
+        entries[i] = tuple(map(row.get, range(len(basis)), zero_row))
+    return ConnectionMatrix(basis=basis, entries=tuple(entries))

@@ -122,17 +122,29 @@ class Realization:
                 raise RealizationError(f"row {i} is zero")
         if allow_coincident and not self.is_path:
             return
-        # path rows are compared as polynomial rows (collisions at isolated
-        # parameter values are fine)
-        along = " along the whole path" if self.is_path else ""
-        for i, j in itertools.combinations(range(self.n), 2):
-            if self._proportional(self.rows[i], self.rows[j]):
-                raise RealizationError(f"rows {i + 1} and {j + 1} are projectively equal{along}")
         if self.is_path:
+            # path rows are compared as polynomial rows (collisions at
+            # isolated parameter values are fine)
+            for i, j in itertools.combinations(range(self.n), 2):
+                if self._proportional(self.rows[i], self.rows[j]):
+                    raise RealizationError(
+                        f"rows {i + 1} and {j + 1} are projectively equal along the whole path")
             zero_linear = (
                 "identically zero linear part (coincides with the hyperplane at infinity)"
             )
         else:
+            # a rational row divided by its first nonzero entry keys its
+            # projective class; the least pair is the one a pairwise scan
+            # would report first
+            first: dict[tuple, int] = {}
+            pairs = []
+            for j, r in enumerate(self.rows, start=1):
+                lead = next(x for x in r if x)
+                if (i := first.setdefault(tuple(x / lead for x in r), j)) != j:
+                    pairs.append((i, j))
+            if pairs:
+                i, j = min(pairs)
+                raise RealizationError(f"rows {i} and {j} are projectively equal")
             zero_linear = "zero linear part (projectively equal to the hyperplane at infinity)"
         for i, r in enumerate(self.rows, start=1):
             if not any(r[1:]):

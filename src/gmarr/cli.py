@@ -83,6 +83,8 @@ def _load_doc(data) -> dict:
         doc = json.loads(data)
     except ValueError as e:
         raise InputError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise InputError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError("top level must be a JSON object")
     return doc

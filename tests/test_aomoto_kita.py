@@ -220,14 +220,17 @@ def test_diagonal_values_match_weight_sums():
 
 def test_omega_concrete_matches_symbolic():
     rng = random.Random(61)
-    vals = [Fraction(rng.randint(1, 9), rng.choice([5, 7, 11])) for _ in range(4)]
-    wc = Weights.concrete(vals)
-    for J in itertools.combinations(range(1, 6), 3):
-        sym = omega_general(J, 4, 2)
-        num = omega_general(J, 4, 2, wc)
-        for rs, rn in zip(sym.entries, num.entries):
-            for s, c in zip(rs, rn):
-                assert s.evaluate(vals) == Fraction(c)
+    drawn = [Fraction(rng.randint(1, 9), rng.choice([5, 7, 11])) for _ in range(4)]
+    # a zero weight and a pair summing to zero make some block entries zero
+    zeros = [Fraction(0), Fraction(2, 7), Fraction(-2, 7), Fraction(3, 5)]
+    for vals in (drawn, zeros):
+        wc = Weights.concrete(vals)
+        for J in itertools.combinations(range(1, 6), 3):
+            sym = omega_general(J, 4, 2)
+            num = omega_general(J, 4, 2, wc)
+            for rs, rn in zip(sym.entries, num.entries):
+                for s, c in zip(rs, rn):
+                    assert type(c) is Fraction and s.evaluate(vals) == c
 
 
 def test_omega_validation():

@@ -106,6 +106,31 @@ def test_projectively_duplicate_rows_rejected():
         Realization(rows)
 
 
+def test_first_projectively_equal_pair_is_reported(monkeypatch):
+    # rational rows are grouped by projective class, with no pairwise
+    # comparison; the pair reported is the first a pairwise scan would find
+    def boom(r1, r2):
+        raise AssertionError("rational rows compared pairwise")
+
+    monkeypatch.setattr(Realization, "_proportional", staticmethod(boom))
+    A, B = [F(1), F(2), F(3)], [F(0), F(1), F(-1)]
+    rows = [A, B, [F(0), F(-3), F(3)], [F(-1, 2), F(-1), F(-3, 2)]]
+    with pytest.raises(RealizationError, match="^rows 1 and 4 are projectively equal$"):
+        Realization(rows)
+    rng = random.Random(73)
+    for _ in range(300):
+        pool = [[F(rng.randint(-2, 2)) for _ in range(3)] for _ in range(4)]
+        pool = [r for r in pool if any(r)]
+        rows = [[rng.choice([1, -1, 2, F(1, 3)]) * x for x in rng.choice(pool)] for _ in range(6)]
+        first = next(((i, j) for i, j in itertools.combinations(range(1, 7), 2)
+                      if all(a * d == b * c for (a, b), (c, d) in itertools.combinations(
+                          zip(rows[i - 1], rows[j - 1]), 2))), None)
+        if first is None:
+            continue
+        with pytest.raises(RealizationError, match=f"^rows {first[0]} and {first[1]} are"):
+            Realization(rows)
+
+
 def test_row_parallel_to_infinity_rejected():
     rows = [[F(3), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
     with pytest.raises(RealizationError):

@@ -196,6 +196,32 @@ def test_path_file_accepts_polynomials():
     assert pf.t_witness == Fraction(1)
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    message = "not valid JSON: nested too deeply"
+    for command in ("analyze", "connection"):
+        code, out, err = run(capsys, command, str(deep))
+        assert (code, out, err) == (1, "", f"error: {message}\n"), command
+        code, out, err = run(capsys, command, "--format", "json", str(deep))
+        assert (code, err) == (1, "") and json.loads(out) == {"error": message}, command
+
+
+def test_path_rows_equal_along_the_whole_path(tmp_path, capsys):
+    # row 4 is twice row 2 at every t
+    doc = dict(PARALLEL_AT_WITNESS, rows=[*PARALLEL_AT_WITNESS["rows"][:3], ["-2", "2", "2*t^2 - 2*t"]])
+    message = "rows 2 and 4 are projectively equal along the whole path"
+    f = tmp_path / "equal_rows.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=f"^{message}$"):
+        parse_path_file(f.read_bytes())
+    for command in ("multiplicity", "connection"):
+        code, out, err = run(capsys, command, str(f))
+        assert (code, out, err) == (1, "", f"error: {message}\n"), command
+        code, out, err = run(capsys, command, "--format", "json", str(f))
+        assert (code, err) == (1, "") and json.loads(out) == {"error": message}, command
+
+
 # ---------------------------------------------------------------------------
 # analyze / check-weights
 # ---------------------------------------------------------------------------
@@ -243,6 +269,17 @@ def test_check_weights_generic_ok(capsys):
     assert "verdict: ok (symbolic weights satisfy every condition)" in out
     assert "(1,2,3): l1 + l2 + l3" in out
     assert "(5): -l1 - l2 - l3 - l4" in out
+
+
+def test_check_weights_concrete_ok(tmp_path, capsys):
+    f = tmp_path / "nonresonant.json"
+    f.write_text(_mutated(weights=["1/5", "-2/7", "3/11", "1/13"]))
+    code, out, err = run(capsys, "check-weights", str(f))
+    assert code == 0 and err == ""
+    assert out.startswith("weights: concrete\n") and out.endswith("\nverdict: ok\n")
+    code, out, err = run(capsys, "check-weights", "--format", "json", str(f))
+    parsed = json.loads(out)
+    assert code == 0 and parsed["ok"] is True and parsed["generic"] is False
 
 
 def test_check_weights_resonant(tmp_path, capsys):
@@ -762,6 +799,23 @@ def test_verify_spectral_checks_catch_a_wrong_rank_lambda_or_entry(monkeypatch):
     for entries in [((a, a), (c, d)), ((a, b), (c, RatFunc(d.num, d.num + 1)))]:
         changed = ConnectionMatrix(basis=omega.basis, entries=entries)
         assert not reference._spectral(stem, changed).ok
+
+
+def test_verify_reports_a_failing_check(monkeypatch, capsys):
+    monkeypatch.setitem(EXPECTED, "triple-point dep", ((1, 2, 4),))
+    code, out, err = run(capsys, "verify-paper")
+    lines = out.strip().splitlines()
+    assert code == 2 and err == ""
+    assert [line for line in lines if not line.startswith("ok   ")] == [
+        "FAIL triple-point dep: expected ((1, 2, 4),), got ((1, 2, 3),)",
+        f"{len(lines) - 1} checks, 1 failures",
+    ]
+    code, out, err = run(capsys, "verify-paper", "--format", "json")
+    doc = json.loads(out)
+    assert code == 2 and doc["ok"] is False
+    assert [c for c in doc["checks"] if not c["ok"]] == [
+        {"name": "triple-point dep", "ok": False, "detail": "expected ((1, 2, 4),), got ((1, 2, 3),)"}
+    ]
 
 
 def test_verify_json(capsys):

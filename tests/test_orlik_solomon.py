@@ -553,6 +553,28 @@ def test_coboundary_on_one_frame_row_raises_span_defect(monkeypatch):
         assert f"frames {[frame]} are" in str(exc.value)
 
 
+def test_coboundaries_short_of_the_non_frame_rows_raise_span_defect(monkeypatch):
+    # zeroed coboundary columns leave the non-frame rows short of full rank
+    # while no frame row takes a pivot: the defect is a codimension
+    from gmarr import orlik_solomon
+
+    real = orlik_solomon.a_lambda_matrix
+    concrete = Weights.concrete([Fraction(1, 3), Fraction(2, 5), Fraction(-1, 7), Fraction(1, 11)])
+    for zeroed, defect in (((0, 1), 1), ((0, 1, 2, 3), 3)):
+        def faulty(T, w, q, zeroed=zeroed):
+            m = real(T, w, q)
+            for row in m:
+                for c in zeroed:
+                    row[c] = w.zero_scalar()
+            return m
+
+        monkeypatch.setattr(orlik_solomon, "a_lambda_matrix", faulty)
+        for w in (Weights.generic(T_TRIPLE.n), concrete):
+            with pytest.raises(SpanDefect, match=f"span a subspace of codimension {defect} in degree 2") as exc:
+                projection_matrix(T_TRIPLE, w)
+            assert exc.value.defect == defect
+
+
 def test_projection_is_one_elimination_over_the_coboundary_columns(monkeypatch):
     # no frame columns and no second elimination (a back-substitution or a
     # solve for the frame rows would show here)

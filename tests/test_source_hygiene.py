@@ -6,9 +6,15 @@ nothing is imported or run to check it.  A name counts as used when it
 appears as an identifier anywhere in the module (attribute chains count by
 their first name); a name listed in ``__all__`` (only ``__init__`` has one)
 counts as used too.  The benchmark under ``gmbench`` is not scanned.
+
+A private (``_name``, not dunder) module-level function or class of the
+package must also be referenced outside its own definition, in the package
+or the tests: as an identifier, an attribute or an imported name, matched
+by name alone across modules.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import gmarr
@@ -55,3 +61,33 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_every_exported_name_is_bound():
     assert len(set(gmarr.__all__)) == len(gmarr.__all__)
     assert [name for name in gmarr.__all__ if not hasattr(gmarr, name)] == []
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is referenced under ``node``."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
+    return refs
+
+
+def test_every_private_helper_is_referenced():
+    modules = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    refs = Counter()
+    helpers = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        refs += _references(tree)
+        if path.parent == PACKAGE:
+            helpers += [(path, node) for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and node.name.startswith("_") and not node.name.startswith("__")]
+    assert helpers
+    unused = [f"{path.relative_to(TESTS.parent)}:{node.lineno} {node.name}"
+              for path, node in helpers if refs[node.name] == _references(node)[node.name]]
+    assert not unused, unused
