@@ -20,10 +20,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Sequence
 
-from .exact import MultiPoly, PathPoly, _as_fraction
+from .exact import MultiPoly, PathPoly, _as_fraction, poly_exact_div, poly_gcd
 
 # Entries kept by each per-type cache (the lru_caches below and the
 # straightener table of ``orlik_solomon``): one computation revisits only a
@@ -80,15 +80,14 @@ def _det_small(rows: list[list]) -> object:
 class Realization:
     """n ordered affine hyperplanes in C^ℓ, rational or one-parameter.
 
-    ``rows`` is set once in ``__init__``; nothing in this package reassigns
-    it.  ``type_at`` memoizes the type of a specialization on the instance.
-    Every specialization of one path shares one table of the minors made
-    only of unmoving rows (rows of constant entries, and the row at
-    infinity), whose value is the same at every t.  A memo entry or a table
-    is used only while ``rows`` is the object it was computed from.
+    A realization is an immutable value: ``rows`` is read-only, set once in
+    ``__init__``.  ``type_at`` memoizes the type of a specialization on the
+    instance.  Every specialization of one path shares one table of the
+    minors made only of unmoving rows (rows of constant entries, and the row
+    at infinity), whose value is the same at every t.
     """
 
-    __slots__ = ("n", "ell", "rows", "is_path", "_types", "_fixed")
+    __slots__ = ("n", "ell", "_rows", "is_path", "_types", "_fixed")
 
     def __init__(self, rows: Sequence[Sequence], *, allow_coincident: bool = False):
         rows = [list(r) for r in rows]
@@ -106,13 +105,17 @@ class Realization:
                 return _as_fraction(e)
             return e if isinstance(e, PathPoly) else PathPoly.const(e)
 
-        self.rows = tuple(tuple(lift(e) for e in r) for r in rows)
+        self._rows = tuple(tuple(lift(e) for e in r) for r in rows)
         self.is_path = is_path
-        self._types = None
-        # (rows, unmoving indices, {I: minor}): on a path, the table its
+        self._types = {}
+        # (unmoving indices, {I: minor}): on a path, the table its
         # specializations share; on a specialization, the table ``minor`` reads
         self._fixed = None
         self._validate(allow_coincident)
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        return self._rows
 
     # -- validation --------------------------------------------------------
 
@@ -122,41 +125,33 @@ class Realization:
                 raise RealizationError(f"row {i} is zero")
         if allow_coincident and not self.is_path:
             return
+        # a row keys its projective class once scaled so that (the leading
+        # coefficient of) its first nonzero entry is 1, a path row after
+        # division by the monic gcd of its entries, which is 1 when an entry is
+        # a nonzero constant.  Q[t] is a UFD, so path keys agree exactly when
+        # the rows are proportional over Q(t): collisions at isolated values
+        # of t are fine.  The least pair is the one a pairwise scan reports.
+        first: dict[tuple, int] = {}
+        pairs = []
+        for j, r in enumerate(self.rows, start=1):
+            if self.is_path and not any(e and e.is_const() for e in r):
+                g = reduce(poly_gcd, r)
+                r = [poly_exact_div(e, g) for e in r]
+            lead = next(x for x in r if x)
+            inv = Fraction(1, lead.leading()[1]) if self.is_path else 1 / lead
+            if (i := first.setdefault(tuple(x * inv for x in r), j)) != j:
+                pairs.append((i, j))
+        if pairs:
+            i, j = min(pairs)
+            along = " along the whole path" if self.is_path else ""
+            raise RealizationError(f"rows {i} and {j} are projectively equal{along}")
         if self.is_path:
-            # path rows are compared as polynomial rows (collisions at
-            # isolated parameter values are fine)
-            for i, j in itertools.combinations(range(self.n), 2):
-                if self._proportional(self.rows[i], self.rows[j]):
-                    raise RealizationError(
-                        f"rows {i + 1} and {j + 1} are projectively equal along the whole path")
-            zero_linear = (
-                "identically zero linear part (coincides with the hyperplane at infinity)"
-            )
+            zero_linear = "identically zero linear part (coincides with the hyperplane at infinity)"
         else:
-            # a rational row divided by its first nonzero entry keys its
-            # projective class; the least pair is the one a pairwise scan
-            # would report first
-            first: dict[tuple, int] = {}
-            pairs = []
-            for j, r in enumerate(self.rows, start=1):
-                lead = next(x for x in r if x)
-                if (i := first.setdefault(tuple(x / lead for x in r), j)) != j:
-                    pairs.append((i, j))
-            if pairs:
-                i, j = min(pairs)
-                raise RealizationError(f"rows {i} and {j} are projectively equal")
             zero_linear = "zero linear part (projectively equal to the hyperplane at infinity)"
         for i, r in enumerate(self.rows, start=1):
             if not any(r[1:]):
                 raise RealizationError(f"row {i} has {zero_linear}")
-
-    @staticmethod
-    def _proportional(r1, r2) -> bool:
-        for a in range(len(r1)):
-            for b in range(a + 1, len(r1)):
-                if r1[a] * r2[b] - r1[b] * r2[a]:
-                    return False
-        return True
 
     # -- access --------------------------------------------------------------
 
@@ -181,11 +176,11 @@ class Realization:
         if not all(1 <= i <= self.n + 1 for i in I):
             raise ValueError(f"index set {I} out of range 1..{self.n + 1}")
         fixed = self._fixed
-        if self.is_path or fixed is None or fixed[0] is not self.rows or not fixed[1].issuperset(I):
+        if self.is_path or fixed is None or not fixed[0].issuperset(I):
             return _det_small([list(self.row(i)) for i in I])
-        value = fixed[2].get(I)
+        value = fixed[1].get(I)
         if value is None:
-            value = fixed[2][I] = _det_small([list(self.row(i)) for i in I])
+            value = fixed[1][I] = _det_small([list(self.row(i)) for i in I])
         return value
 
     def specialize(self, t) -> "Realization":
@@ -196,25 +191,19 @@ class Realization:
         if not self.is_path:
             raise ValueError("specialize applies to path realizations")
         t = _as_fraction(t)
-        rows = [[e.evaluate(t) for e in r] for r in self.rows]
-        out = Realization(rows, allow_coincident=not t)
-        fixed = self._fixed
-        if fixed is None or fixed[0] is not self.rows:
+        out = Realization([[e.evaluate(t) for e in r] for r in self.rows], allow_coincident=not t)
+        if self._fixed is None:
             unmoving = [i for i, r in enumerate(self.rows, start=1) if all(e.is_const() for e in r)]
-            fixed = self._fixed = (self.rows, frozenset(unmoving + [self.n + 1]), {})
-        out._fixed = (out.rows, fixed[1], fixed[2])
+            self._fixed = (frozenset(unmoving + [self.n + 1]), {})
+        out._fixed = self._fixed
         return out
 
     def type_at(self, t) -> "CombinatorialType":
-        """``compute_type(self.specialize(t))``, computed at most once per t
-        for the current rows."""
+        """``compute_type(self.specialize(t))``, computed at most once per t."""
         t = _as_fraction(t)
-        if self._types is None:
-            self._types = {}
-        rows, T = self._types.get(t, (None, None))
-        if rows is not self.rows:
-            T = compute_type(self.specialize(t))
-            self._types[t] = (self.rows, T)
+        T = self._types.get(t)
+        if T is None:
+            T = self._types[t] = compute_type(self.specialize(t))
         return T
 
 

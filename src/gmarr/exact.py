@@ -112,8 +112,8 @@ def _guard(nvars: int) -> int:
 
 
 def _unit(nvars: int, v: int) -> int:
-    """The key of the variable of 0-based index ``v``."""
-    return _pack(tuple(int(i == v) for i in range(nvars)))
+    """The key of the variable of 0-based index ``v``: ``_pack`` of its unit exponent."""
+    return 1 << _FIELD * nvars | 1 << _FIELD * (nvars - 1 - v)
 
 
 def _as_fraction(c) -> Fraction:

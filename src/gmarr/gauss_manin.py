@@ -79,8 +79,9 @@ class DegenerationPath:
     """A validated one-parameter family connecting T (at the witness) to the
     degenerate type T' (at t = 0).
 
-    Both types come from ``realization.type_at``, so they are computed once
-    and kept on the realization for ``multiplicities`` to check against, and
+    Both types come from ``realization.type_at``; a realization is
+    immutable, so they are computed once and kept on it for
+    ``multiplicities`` to check against, and
     the minors made only of unmoving rows are computed at the witness and
     read back at t = 0.
     Rows may coincide at t = 0 only: the witness is nonzero, and there
@@ -159,7 +160,7 @@ def multiplicities(p: DegenerationPath) -> MultiplicityTable:
 
     The stored endpoint types are not trusted: they are compared with
     ``p.realization.type_at`` at the witness and at 0, which types the
-    current rows (once per realization), so a path object whose stored types
+    realization's rows (once per realization), so a path object whose stored types
     were tampered with is rejected here.  The per-minor checks run first so a
     claimed newly-dependent subset whose minor never vanishes, or never
     varies, gets the specific diagnostic.

@@ -37,6 +37,19 @@ def cofactor_det(m):
     return total
 
 
+def proportional(r1, r2) -> bool:
+    """Whether two rows are proportional: every 2×2 minor of the pair
+    vanishes (over Q, or over Q(t) for rows of ``PathPoly`` entries)."""
+    return all(a * d == b * c for (a, b), (c, d) in itertools.combinations(zip(r1, r2), 2))
+
+
+def first_proportional_pair(rows):
+    """The first 1-based pair (i, j) of proportional rows in a pairwise scan,
+    or None."""
+    return next(((i, j) for i, j in itertools.combinations(range(1, len(rows) + 1), 2)
+                 if proportional(rows[i - 1], rows[j - 1])), None)
+
+
 def dense_matmul(A, B, zero):
     """A·B with every product formed: each entry is ``zero`` plus the
     products of its row and column, in inner order."""

@@ -34,6 +34,7 @@ from _helpers import (
     brute_nbc,
     closure_vectors,
     cofactor_det,
+    first_proportional_pair,
     good_primes,
     random_realization,
 )
@@ -106,29 +107,56 @@ def test_projectively_duplicate_rows_rejected():
         Realization(rows)
 
 
-def test_first_projectively_equal_pair_is_reported(monkeypatch):
-    # rational rows are grouped by projective class, with no pairwise
-    # comparison; the pair reported is the first a pairwise scan would find
-    def boom(r1, r2):
-        raise AssertionError("rational rows compared pairwise")
-
-    monkeypatch.setattr(Realization, "_proportional", staticmethod(boom))
+def test_first_projectively_equal_pair_is_reported():
+    # rows are grouped by projective class; the pair reported is the first
+    # a pairwise scan would find
     A, B = [F(1), F(2), F(3)], [F(0), F(1), F(-1)]
     rows = [A, B, [F(0), F(-3), F(3)], [F(-1, 2), F(-1), F(-3, 2)]]
     with pytest.raises(RealizationError, match="^rows 1 and 4 are projectively equal$"):
         Realization(rows)
+    # over Q(t): row 3 is row 2 times 1 + t, row 4 is row 1 times -t/2
+    rows = path_rows([["1", "2 + t", "t"], ["0", "1", "-1"],
+                      ["0", "1 + t", "-1 - t"], ["-1/2*t", "-t - 1/2*t^2", "-1/2*t^2"]])
+    with pytest.raises(RealizationError,
+                       match="^rows 1 and 4 are projectively equal along the whole path$"):
+        Realization(rows)
+
+
+def _classes_rows(rng, path):
+    """Six rows of width 3 drawn from four random classes, with zero entries
+    and nonzero linear parts, each scaled by a random multiplier: a rational
+    one, or for path rows also t, 1 + t, 2 - t² or t·(1 + t), which leave a
+    row without a constant entry or with a common factor."""
+    def entry():
+        if path:
+            return PathPoly([rng.randint(-2, 2) for _ in range(rng.randint(1, 3))])
+        return F(rng.randint(-2, 2))
+
+    scales = [1, -1, 2, F(1, 3), F(-5, 2)]
+    if path:
+        scales += path_rows([["t", "1 + t", "2 - t^2", "t + t^2"]])[0]
+    pool = [row for row in ([entry() for _ in range(3)] for _ in range(4)) if any(row[1:])]
+    rows = [[rng.choice(scales) * x for x in rng.choice(pool)] for _ in range(6)]
+    if rng.random() < 0.2:  # repeated classes A, B, B, A
+        rows[:4] = [rows[0], rows[1], [rng.choice(scales) * x for x in rows[1]], rows[0]]
+    return rows
+
+
+def test_projective_classes_match_the_pairwise_oracle():
     rng = random.Random(73)
-    for _ in range(300):
-        pool = [[F(rng.randint(-2, 2)) for _ in range(3)] for _ in range(4)]
-        pool = [r for r in pool if any(r)]
-        rows = [[rng.choice([1, -1, 2, F(1, 3)]) * x for x in rng.choice(pool)] for _ in range(6)]
-        first = next(((i, j) for i, j in itertools.combinations(range(1, 7), 2)
-                      if all(a * d == b * c for (a, b), (c, d) in itertools.combinations(
-                          zip(rows[i - 1], rows[j - 1]), 2))), None)
+    seen = {True: 0, False: 0}
+    for k in range(400):
+        rows = _classes_rows(rng, path=k % 2)
+        first = first_proportional_pair(rows)
+        seen[first is None] += 1
         if first is None:
+            assert Realization(rows).n == 6
             continue
-        with pytest.raises(RealizationError, match=f"^rows {first[0]} and {first[1]} are"):
+        along = " along the whole path" if k % 2 else ""
+        with pytest.raises(RealizationError,
+                           match=f"^rows {first[0]} and {first[1]} are projectively equal{along}$"):
             Realization(rows)
+    assert min(seen.values()) > 50, seen
 
 
 def test_row_parallel_to_infinity_rejected():

@@ -345,24 +345,29 @@ def test_type_at_matches_compute_type(name):
 
 
 def test_type_at_follows_replaced_rows():
+    # rows are read-only: other rows make a new realization, with its own
+    # type memo and its own table of unmoving-row minors
     r = _path(PATH_T1).realization
     other = _path(PATH_T3).realization
     assert r.type_at(0) != other.type_at(0)
-    r.rows = other.rows
-    assert r.type_at(1) == other.type_at(1)
-    assert r.type_at(0) == other.type_at(0)
-    # rows 1–3 stay the unmoving ones, but no longer meet in a point: a
-    # minor kept from the old rows would still call (1, 2, 3) dependent
-    moved = _path([["1", "1", "1"], *PATH_T3[1:]]).realization
-    assert (1, 2, 3) in r.type_at(0).dep and (1, 2, 3) not in moved.type_at(0).dep
-    r.rows = moved.rows
-    assert r.type_at(1) == moved.type_at(1)
-    assert r.type_at(0) == moved.type_at(0)
-    # so does a specialization whose own rows are replaced
     at_one = r.specialize(1)
-    assert at_one.minor((1, 2, 3))
-    at_one.rows = path_rows(PATH_T1).specialize(1).rows
-    assert not at_one.minor((1, 2, 3))
+    for x in (r, at_one):
+        with pytest.raises(AttributeError):
+            x.rows = other.rows
+    assert r.rows == path_rows(PATH_T1).rows
+    fresh = Realization(other.rows)
+    assert fresh.type_at(1) == other.type_at(1)
+    assert fresh.type_at(0) == other.type_at(0)
+    # rows 1–3 stay the unmoving ones, but no longer meet in a point: a
+    # minor kept from another path's table would still call (1, 2, 3) dependent
+    moved = _path([["1", "1", "1"], *PATH_T3[1:]]).realization
+    assert (1, 2, 3) in r.type_at(0).dep and not at_one.minor((1, 2, 3))
+    fresh = Realization(moved.rows)
+    assert (1, 2, 3) not in fresh.type_at(0).dep
+    assert fresh.type_at(1) == moved.type_at(1)
+    assert fresh.type_at(0) == moved.type_at(0)
+    assert fresh.specialize(1).minor((1, 2, 3))
+    assert not r.specialize(1).minor((1, 2, 3))
 
 
 # every row moves; the witness type is general position, and (1, 3, 5)

@@ -19,6 +19,8 @@ from gmarr.exact import (
     DegreeLimitExceeded,
     MultiPoly,
     PathPoly,
+    _pack,
+    _unit,
     poly_exact_div,
     poly_gcd,
 )
@@ -115,6 +117,14 @@ def test_gcd_is_monic_and_divides_both_arguments(ops):
     for f in (x, y):
         assert poly_exact_div(f, g) * g == f
     assert poly_exact_div(g, c) * c == g
+
+
+def test_a_variable_key_is_the_packed_unit_exponent():
+    for nvars in (1, 2, 3, 7, 40):
+        for v in {0, nvars // 2, nvars - 1}:
+            e = tuple(int(i == v) for i in range(nvars))
+            assert _unit(nvars, v) == _pack(e)
+            assert dict(MultiPoly.variable(nvars, v + 1).terms) == {e: 1}
 
 
 # ---------------------------------------------------------------------------

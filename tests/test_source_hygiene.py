@@ -8,9 +8,10 @@ their first name); a name listed in ``__all__`` (only ``__init__`` has one)
 counts as used too.  The benchmark under ``gmbench`` is not scanned.
 
 A private (``_name``, not dunder) module-level function or class of the
-package must also be referenced outside its own definition, in the package
-or the tests: as an identifier, an attribute or an imported name, matched
-by name alone across modules.
+package, or method of one of its module-level classes, must also be
+referenced outside its own definition, in the package or the tests: as an
+identifier, an attribute or an imported name, matched by name alone across
+modules.
 """
 
 import ast
@@ -84,7 +85,8 @@ def test_every_private_helper_is_referenced():
         tree = ast.parse(path.read_text(), filename=str(path))
         refs += _references(tree)
         if path.parent == PACKAGE:
-            helpers += [(path, node) for node in tree.body
+            methods = [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
+            helpers += [(path, node) for node in tree.body + methods
                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                         and node.name.startswith("_") and not node.name.startswith("__")]
     assert helpers
