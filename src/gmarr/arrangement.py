@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Sequence
 
-from .exact import MultiPoly, PathPoly, _as_fraction, poly_exact_div, poly_gcd
+from .exact import MultiPoly, PathPoly, _as_fraction, _from_terms, _unit, poly_exact_div, poly_gcd
 
 # Entries kept by each per-type cache (the lru_caches below and the
 # straightener table of ``orlik_solomon``): one computation revisits only a
@@ -81,13 +81,14 @@ class Realization:
     """n ordered affine hyperplanes in C^ℓ, rational or one-parameter.
 
     A realization is an immutable value: ``rows`` is read-only, set once in
-    ``__init__``.  ``type_at`` memoizes the type of a specialization on the
-    instance.  Every specialization of one path shares one table of the
-    minors made only of unmoving rows (rows of constant entries, and the row
-    at infinity), whose value is the same at every t.
+    ``__init__``, and ``n``, ``ell`` and ``is_path`` are read off it.
+    ``type_at`` memoizes the type of a specialization on the instance.  Every
+    specialization of one path shares one table of the minors made only of
+    unmoving rows (rows of constant entries, and the row at infinity), whose
+    value is the same at every t.
     """
 
-    __slots__ = ("n", "ell", "_rows", "is_path", "_types", "_fixed")
+    __slots__ = ("_rows", "_types", "_fixed")
 
     def __init__(self, rows: Sequence[Sequence], *, allow_coincident: bool = False):
         rows = [list(r) for r in rows]
@@ -96,8 +97,6 @@ class Realization:
         width = len(rows[0])
         if width < 2 or any(len(r) != width for r in rows):
             raise RealizationError("rows must all have length ell + 1 >= 2")
-        self.n = len(rows)
-        self.ell = width - 1
         is_path = any(isinstance(e, PathPoly) for r in rows for e in r)
 
         def lift(e):
@@ -106,7 +105,6 @@ class Realization:
             return e if isinstance(e, PathPoly) else PathPoly.const(e)
 
         self._rows = tuple(tuple(lift(e) for e in r) for r in rows)
-        self.is_path = is_path
         self._types = {}
         # (unmoving indices, {I: minor}): on a path, the table its
         # specializations share; on a specialization, the table ``minor`` reads
@@ -116,6 +114,18 @@ class Realization:
     @property
     def rows(self) -> tuple[tuple, ...]:
         return self._rows
+
+    @property
+    def n(self) -> int:
+        return len(self._rows)
+
+    @property
+    def ell(self) -> int:
+        return len(self._rows[0]) - 1
+
+    @property
+    def is_path(self) -> bool:
+        return type(self._rows[0][0]) is PathPoly
 
     # -- validation --------------------------------------------------------
 
@@ -157,8 +167,8 @@ class Realization:
 
     def row(self, i: int):
         """Row of the projective closure, 1-based; i = n+1 is infinity."""
-        if 1 <= i <= self.n:
-            return self.rows[i - 1]
+        if 1 <= i <= len(self._rows):
+            return self._rows[i - 1]
         if i == self.n + 1:
             unit = PathPoly.const if self.is_path else Fraction
             return (unit(1),) + (unit(0),) * self.ell
@@ -176,7 +186,7 @@ class Realization:
         if not all(1 <= i <= self.n + 1 for i in I):
             raise ValueError(f"index set {I} out of range 1..{self.n + 1}")
         fixed = self._fixed
-        if self.is_path or fixed is None or not fixed[0].issuperset(I):
+        if fixed is None or self.is_path or not fixed[0].issuperset(I):
             return _det_small([list(self.row(i)) for i in I])
         value = fixed[1].get(I)
         if value is None:
@@ -208,7 +218,10 @@ class Realization:
 
 
 class CombinatorialType:
-    """(n, ℓ, dep): which (ℓ+1)-subsets of the projective closure degenerate."""
+    """(n, ℓ, dep): which (ℓ+1)-subsets of the projective closure degenerate.
+
+    An immutable value: every attribute is set once in ``__init__``, and the
+    hash the per-type caches key on is computed there."""
 
     __slots__ = ("n", "ell", "dep", "_hash")
 
@@ -223,10 +236,12 @@ class CombinatorialType:
             if not all(1 <= j <= n + 1 for j in J):
                 raise ValueError(f"dep member {J} out of range 1..{n + 1}")
             clean.add(J)
-        self.n = n
-        self.ell = ell
-        self.dep = frozenset(clean)
-        self._hash = hash((n, ell, self.dep))
+        dep = frozenset(clean)
+        for name, value in (("n", n), ("ell", ell), ("dep", dep), ("_hash", hash((n, ell, dep)))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CombinatorialType is immutable: cannot set {name!r}")
 
     @property
     def normal_position(self) -> bool:
@@ -473,6 +488,8 @@ class Weights:
             self.values = None
             self._zero, self._one = MultiPoly.zero(n), MultiPoly.const(n, 1)
             lams = [MultiPoly.variable(n, j) for j in range(1, n + 1)]
+            # -(l1 + ... + ln) in one pass over the unit keys, not n additions
+            last = _from_terms(MultiPoly, n, {_unit(n, v): -1 for v in range(n)})
         else:
             vals = tuple(_as_fraction(v) for v in values)
             if len(vals) != n:
@@ -480,7 +497,8 @@ class Weights:
             self.values = vals
             self._zero, self._one = Fraction(0), Fraction(1)
             lams = list(vals)
-        self._lams = (*lams, -sum(lams, self._zero))
+            last = -sum(vals, self._zero)
+        self._lams = (*lams, last)
 
     @classmethod
     def generic(cls, n: int) -> "Weights":

@@ -39,6 +39,8 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
+from typing import NamedTuple
 
 from . import reference
 from .aomoto_kita import _general_basis, omega_general
@@ -165,38 +167,38 @@ def _parse_declared(doc: dict, key: str, n: int, ell: int) -> CombinatorialType 
     return CombinatorialType(n, ell, frozenset(members))
 
 
-def parse_arrangement_file(data) -> tuple[Realization, Weights]:
-    """Strict parse of an arrangement file (rational entries only)."""
+def _parse_head(data, cell_parser) -> tuple[dict, int, int, list, Weights]:
+    """What both file kinds share: the document, n, ell, rows and weights."""
     doc = _load_doc(data)
     n = _require_size(doc, "n")
     ell = _require_size(doc, "ell")
-    rows = _parse_rows(doc, n, ell, parse_rational)
-    w = _parse_weights(doc, n)
+    return doc, n, ell, _parse_rows(doc, n, ell, cell_parser), _parse_weights(doc, n)
+
+
+def _realization(rows) -> Realization:
     try:
-        r = Realization(rows)
+        return Realization(rows)
     except RealizationError as e:
         raise InputError(str(e)) from None
-    return r, w
 
 
-class PathFile:
-    __slots__ = ("realization", "weights", "t_witness", "declared_T", "declared_Tprime")
+def parse_arrangement_file(data) -> tuple[Realization, Weights]:
+    """Strict parse of an arrangement file (rational entries only)."""
+    _, _, _, rows, w = _parse_head(data, parse_rational)
+    return _realization(rows), w
 
-    def __init__(self, realization, weights, t_witness, declared_T, declared_Tprime):
-        self.realization = realization
-        self.weights = weights
-        self.t_witness = t_witness
-        self.declared_T = declared_T
-        self.declared_Tprime = declared_Tprime
+
+class PathFile(NamedTuple):
+    realization: Realization
+    weights: Weights
+    t_witness: Fraction
+    declared_T: CombinatorialType | None
+    declared_Tprime: CombinatorialType | None
 
 
 def parse_path_file(data) -> PathFile:
     """Strict parse of a path file (entries may be polynomials in t)."""
-    doc = _load_doc(data)
-    n = _require_size(doc, "n")
-    ell = _require_size(doc, "ell")
-    rows = _parse_rows(doc, n, ell, parse_path_poly)
-    w = _parse_weights(doc, n)
+    doc, n, ell, rows, w = _parse_head(data, parse_path_poly)
     if "t_witness" not in doc:
         raise InputError('path files must declare a nonzero rational "t_witness"')
     try:
@@ -205,11 +207,7 @@ def parse_path_file(data) -> PathFile:
         raise InputError(f'"t_witness": {e}') from None
     declared_T = _parse_declared(doc, "declared_dep", n, ell)
     declared_Tprime = _parse_declared(doc, "declared_dep_prime", n, ell)
-    try:
-        r = Realization(rows)
-    except RealizationError as e:
-        raise InputError(str(e)) from None
-    return PathFile(r, w, witness, declared_T, declared_Tprime)
+    return PathFile(_realization(rows), w, witness, declared_T, declared_Tprime)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +278,20 @@ def _note_row_order(T: CombinatorialType) -> None:
         )
 
 
-def _cmd_analyze(ns) -> str:
-    r, _ = parse_arrangement_file(_read_file(ns.file))
+def _typed(r: Realization) -> CombinatorialType:
+    """The type of a parsed arrangement, with the row-order note."""
     T = compute_type(r)
     _note_row_order(T)
+    return T
+
+
+# Each handler returns (text lines, JSON document) or (text lines, JSON
+# document, exit code); ``main`` renders one of the two in the chosen format.
+
+
+def _cmd_analyze(ns):
+    r, _ = parse_arrangement_file(_read_file(ns.file))
+    T = _typed(r)
     frames = betanbc_frames(T)
     edges = dense_edges(T)
     be = betti_and_euler(T)
@@ -308,15 +316,13 @@ def _cmd_analyze(ns) -> str:
         "betti": list(be.betti),
         "abs_euler": abs(be.euler),
     }
-    return _emit(ns, text, doc)
+    return text, doc
 
 
-def _cmd_check_weights(ns) -> tuple[str, int]:
+def _cmd_check_weights(ns):
     r, w_file = parse_arrangement_file(_read_file(ns.file))
     w = _pick_weights(ns, w_file)
-    T = compute_type(r)
-    _note_row_order(T)
-    report = stv_check(T, w)
+    report = stv_check(_typed(r), w)
     text = [f"weights: {'generic' if report.generic else 'concrete'}"]
     text.append("nonresonance conditions (dense edge: weight sum not in 0,1,2,...):")
     for members, lam in report.conditions:
@@ -342,24 +348,20 @@ def _cmd_check_weights(ns) -> tuple[str, int]:
             for members, lam in report.violations
         ],
     }
-    return _emit(ns, text, doc), (0 if report.ok else 1)
+    return text, doc, 0 if report.ok else 1
 
 
-def _cmd_projection(ns) -> str:
+def _cmd_projection(ns):
     r, w_file = parse_arrangement_file(_read_file(ns.file))
     _general_basis(r.n, r.ell)  # refuses an oversized basis before the type is computed
     w = _pick_weights(ns, w_file)
-    T = compute_type(r)
-    _note_row_order(T)
-    P = projection_matrix(T, w)
+    P = projection_matrix(_typed(r), w)
     matrix = _matrix_json(P.row_basis, P.col_basis, P.entries)
     text = [
         f"projection matrix ({len(P.row_basis)} x {len(P.col_basis)}); "
         "rows: general-position frames, cols: frames of the type"
     ]
-    text += _matrix_lines(matrix)
-    doc = {"command": "projection", **matrix}
-    return _emit(ns, text, doc)
+    return text + _matrix_lines(matrix), {"command": "projection", **matrix}
 
 
 def _parse_J(raw: str) -> tuple[int, ...]:
@@ -370,14 +372,12 @@ def _parse_J(raw: str) -> tuple[int, ...]:
     return J
 
 
-def _cmd_omega_general(ns) -> str:
+def _cmd_omega_general(ns):
     J = _parse_J(ns.J)
     M = omega_general(J, ns.n, ns.ell)
     matrix = _matrix_json(M.basis, M.basis, M.entries)
     text = [f"general-position connection block for J = {_label(J)}"]
-    text += _matrix_lines(matrix)
-    doc = {"command": "omega-general", "J": list(J), **matrix}
-    return _emit(ns, text, doc)
+    return text + _matrix_lines(matrix), {"command": "omega-general", "J": list(J), **matrix}
 
 
 def _degeneration_path(pf: PathFile) -> DegenerationPath:
@@ -391,7 +391,7 @@ def _degeneration_path(pf: PathFile) -> DegenerationPath:
     return dp
 
 
-def _mult_payload(dp: DegenerationPath, mult) -> tuple[list[str], dict]:
+def _mult_payload(command: str, dp: DegenerationPath, mult) -> tuple[list[str], dict]:
     text = [
         f"dep at witness t = {dp.t_witness}: "
         + (" ".join(_label(J) for J in sorted(dp.T.dep)) or "(none)"),
@@ -402,6 +402,9 @@ def _mult_payload(dp: DegenerationPath, mult) -> tuple[list[str], dict]:
         text.append(f"  {_label(J)}: {m}")
     text.append(f"note: {mult.caveat}")
     doc = {
+        "command": command,
+        "n": dp.T.n,
+        "ell": dp.T.ell,
         "t_witness": str(dp.t_witness),
         "dep": [list(J) for J in sorted(dp.T.dep)],
         "dep_prime": [list(J) for J in sorted(dp.Tprime.dep)],
@@ -411,16 +414,12 @@ def _mult_payload(dp: DegenerationPath, mult) -> tuple[list[str], dict]:
     return text, doc
 
 
-def _cmd_multiplicity(ns) -> str:
+def _cmd_multiplicity(ns):
     dp = _degeneration_path(parse_path_file(_read_file(ns.file)))
-    mult = multiplicities(dp)
-    text, payload = _mult_payload(dp, mult)
-    doc = {"command": "multiplicity", "n": dp.T.n, "ell": dp.T.ell}
-    doc.update(payload)
-    return _emit(ns, text, doc)
+    return _mult_payload("multiplicity", dp, multiplicities(dp))
 
 
-def _cmd_connection(ns) -> str:
+def _cmd_connection(ns):
     pf = parse_path_file(_read_file(ns.file))
     # refuses an oversized basis before the path is typed
     _general_basis(pf.realization.n, pf.realization.ell)
@@ -428,27 +427,18 @@ def _cmd_connection(ns) -> str:
     w = _pick_weights(ns, pf.weights)
     omega, mult = connection_for_path(dp, w)
     matrix = _matrix_json(omega.basis, omega.basis, omega.entries)
-    text, payload = _mult_payload(dp, mult)
+    text, doc = _mult_payload("connection", dp, mult)
     text.append(
         f"connection matrix on the frame basis of the type "
         f"({len(omega.basis)} x {len(omega.basis)})"
     )
-    text += _matrix_lines(matrix)
-    doc = {"command": "connection", "n": dp.T.n, "ell": dp.T.ell}
-    doc.update(payload)
-    doc.update(matrix)
-    return _emit(ns, text, doc)
+    return text + _matrix_lines(matrix), {**doc, **matrix}
 
 
-def _cmd_verify(ns) -> tuple[str, int]:
-    ok, results = reference.run_suite()
-    text = []
-    for c in results:
-        if c.ok:
-            text.append(f"ok   {c.name}")
-        else:
-            text.append(f"FAIL {c.name}: {c.detail}")
-    n_fail = sum(1 for c in results if not c.ok)
+def _cmd_verify(ns):
+    results = reference.run_checks()
+    n_fail = sum(not c.ok for c in results)
+    text = [f"ok   {c.name}" if c.ok else f"FAIL {c.name}: {c.detail}" for c in results]
     text.append(
         f"{len(results)} checks, {n_fail} failures"
         if n_fail
@@ -456,13 +446,13 @@ def _cmd_verify(ns) -> tuple[str, int]:
     )
     doc = {
         "command": "verify-paper",
-        "ok": ok,
+        "ok": not n_fail,
         "checks": [
             {"name": c.name, "ok": c.ok, **({"detail": c.detail} if not c.ok else {})}
             for c in results
         ],
     }
-    return _emit(ns, text, doc), (0 if ok else 2)
+    return text, doc, 2 if n_fail else 0
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +478,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, weights=False, jobs=False):
+    def common(sp, handler, *, weights=False, jobs=False):
+        sp.set_defaults(handler=handler)
         sp.add_argument(
             "--format", choices=("text", "json"), default="text",
             help="output format (default: text)",
@@ -506,15 +497,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="combinatorial type, frames, dense edges")
     sp.add_argument("file")
-    common(sp)
+    common(sp, _cmd_analyze)
 
     sp = sub.add_parser("check-weights", help="nonresonance verdict for the weights")
     sp.add_argument("file")
-    common(sp, weights=True)
+    common(sp, _cmd_check_weights, weights=True)
 
     sp = sub.add_parser("projection", help="projection matrix onto the type's frames")
     sp.add_argument("file")
-    common(sp, weights=True)
+    common(sp, _cmd_projection, weights=True)
 
     sp = sub.add_parser(
         "omega-general", help="connection block for one index set in general position"
@@ -522,46 +513,33 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--J", required=True, help="comma-separated indices, e.g. 3,4,5")
-    common(sp)
+    common(sp, _cmd_omega_general)
 
     sp = sub.add_parser("multiplicity", help="vanishing orders along a path")
     sp.add_argument("file")
-    common(sp)
+    common(sp, _cmd_multiplicity)
 
     sp = sub.add_parser("connection", help="connection matrix for a degeneration path")
     sp.add_argument("file")
-    common(sp, weights=True, jobs=True)
+    common(sp, _cmd_connection, weights=True, jobs=True)
 
     sp = sub.add_parser("verify-paper", help="recompute the built-in worked examples")
-    common(sp)
+    common(sp, _cmd_verify)
 
     return p
-
-
-_DISPATCH = {
-    "analyze": _cmd_analyze,
-    "check-weights": _cmd_check_weights,
-    "projection": _cmd_projection,
-    "omega-general": _cmd_omega_general,
-    "multiplicity": _cmd_multiplicity,
-    "connection": _cmd_connection,
-    "verify-paper": _cmd_verify,
-}
 
 
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
-        out = _DISPATCH[ns.command](ns)
+        text, doc, *code = ns.handler(ns)
+        out = _emit(ns, text, doc)
     except (InconsistentSystem, SpanDefect) as e:
         return _report_error(ns, e, 2)
     except ValueError as e:
         return _report_error(ns, e, 1)
-    code = 0
-    if isinstance(out, tuple):
-        out, code = out
     sys.stdout.write(out)
-    return code
+    return code[0] if code else 0
 
 
 def _report_error(ns, e, code: int) -> int:

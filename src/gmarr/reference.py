@@ -284,7 +284,3 @@ def run_checks() -> list[CheckResult]:
 
     return out
 
-
-def run_suite() -> tuple[bool, list[CheckResult]]:
-    results = run_checks()
-    return all(c.ok for c in results), results

@@ -23,7 +23,7 @@ from gmarr.arrangement import (
     nbc_sets,
     stv_check,
 )
-from gmarr.exact import MultiPoly, PathPoly, parse_path_poly, parse_rational
+from gmarr.exact import MultiPoly, PathPoly, RatFunc, parse_path_poly, parse_rational, poly_exact_div
 from gmarr.reference import EXAMPLES, EXPECTED
 
 from _helpers import (
@@ -544,3 +544,56 @@ def test_combinatorial_type_equality_and_hash():
     T2 = CombinatorialType(4, 2, frozenset({(1, 2, 3)}))
     assert T1 == T2 and hash(T1) == hash(T2)
     assert T1 != CombinatorialType(4, 2, frozenset())
+
+
+@pytest.mark.parametrize("owner, attr, value", [
+    ("realization", "n", 3),
+    ("realization", "ell", 1),
+    ("realization", "is_path", True),
+    ("type", "n", 3),
+    ("type", "ell", 1),
+    ("type", "dep", frozenset()),
+])
+def test_sizes_and_dep_are_read_only(owner, attr, value):
+    # writable, r.n = 3 made compute_type(r) return an n = 3 type, and
+    # T.dep = frozenset() made T equal general position while betanbc_frames(T)
+    # still answered the triple point's frames from its cache
+    r = Realization(TRIPLE_POINT)
+    T = compute_type(r)
+    assert betanbc_frames(T) == EXPECTED["triple-point betanbc"]
+    with pytest.raises(AttributeError):
+        setattr(r if owner == "realization" else T, attr, value)
+    assert (r.n, r.ell, r.is_path) == (4, 2, False)
+    assert compute_type(r) == T != general_position_type(4, 2)
+    assert betanbc_frames(T) == EXPECTED["triple-point betanbc"]
+    assert betanbc_frames(general_position_type(4, 2)) == EXPECTED["general betanbc (n=4)"]
+
+
+# ---------------------------------------------------------------------------
+# refusals of malformed arguments
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Realization([]), RealizationError, "empty realization"),
+    (lambda: CombinatorialType(1, 2, ()), ValueError, "need n >= ell >= 1, got n=1, ell=2"),
+    (lambda: CombinatorialType(4, 2, [(1, 2)]), ValueError,
+     "dep member (1, 2) is not an (ell+1)-subset"),
+    (lambda: CombinatorialType(4, 2, [(2, 1, 6)]), ValueError, "dep member (1, 2, 6) out of range 1..5"),
+    (lambda: Weights(3, [1, 2]), ValueError, "expected 3 weights, got 2"),
+    (lambda: Weights.concrete([0.5]), TypeError, "expected an exact rational coefficient, got float"),
+    (lambda: stv_check(general_position_type(4, 2), Weights.generic(5)), ValueError,
+     "weights are for n=5, type has n=4"),
+    (lambda: MultiPoly.variable(2, 3), ValueError, "variable index 3 out of range 1..2"),
+    (lambda: MultiPoly.variable(2, 1).const_value(), ValueError, "l1 is not constant"),
+    (lambda: MultiPoly.zero(2).leading(), ValueError, "zero polynomial has no leading term"),
+    (lambda: MultiPoly.variable(2, 1) ** -1, ValueError, "negative power of a polynomial"),
+    (lambda: MultiPoly.variable(2, 1).evaluate([F(1)]), ValueError, "expected 2 values, got 1"),
+    (lambda: poly_exact_div(MultiPoly.variable(2, 1), MultiPoly.zero(2)), ZeroDivisionError,
+     "polynomial division by zero"),
+    (lambda: RatFunc(F(1)), TypeError, "RatFunc numerator must be a MultiPoly"),
+])
+def test_malformed_arguments_are_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

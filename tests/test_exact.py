@@ -118,6 +118,16 @@ def test_normalize_zero_numerator():
     assert f.den.is_one()
 
 
+def test_polynomial_over_a_constant_is_the_polynomial():
+    # a constant denominator takes the general route: gcd 1, then the
+    # scaling by its leading coefficient leaves the denominator 1
+    p = L(2, 1) * L(2, 1) - Fraction(1, 2) * L(2, 2)
+    for c in (1, Fraction(-2, 3)):
+        f = RatFunc(p * c, MultiPoly.const(2, c))
+        assert f.num == p and f.den.is_one() and f == p
+    assert hash(RatFunc(p)) == hash(p)
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RatFunc(L(2, 1), MultiPoly.zero(2))
