@@ -49,13 +49,19 @@ class NotMatroidal(ValueError):
     infinity have rank below ℓ+1, so the arrangement is not essential."""
 
 
-def _det_small(rows: list[list]) -> object:
+def _det_small(rows: list[list], shared: tuple | None = None) -> object:
     """Cofactor-expansion determinant; works over any commutative ring.
 
     Each level expands along the row with the most zeros, the first on a tie
     (so a matrix without zeros expands along row 0), and skips a zero entry
     with its subtree: the row at infinity (1, 0, …, 0) and a path's unit
-    rows then cost one recursive call instead of one per column."""
+    rows then cost one recursive call instead of one per column.
+
+    ``shared`` = (labels, cols, table) shares sub-determinants between
+    matrices: a block whose rows all carry a label (None marks a row that
+    differs between them) is keyed by its labels and the indices ``cols`` of
+    its columns, and computed once.  Unless a row has one nonzero entry, the
+    sparsest unlabelled row goes first, so that the blocks below are keyed."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -63,12 +69,29 @@ def _det_small(rows: list[list]) -> object:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     nonzero = [sum(map(bool, row)) for row in rows]
     r = nonzero.index(min(nonzero))
+    if shared is not None and shared[0].count(None) < n - 1:
+        labels, cols, table = shared
+        if nonzero[r] > 1 and None in labels:
+            r = min((c, i) for i, c in enumerate(nonzero) if labels[i] is None)[1]
+        labels = labels[:r] + labels[r + 1 :]
+        keyed = None not in labels
+    else:
+        shared = None  # every block below keeps an unlabelled row
+    others = [row for i, row in enumerate(rows) if i != r]
     total = None
     for j, a in enumerate(rows[r]):
         if not a:
             continue
-        sub = [[row[c] for c in range(n) if c != j] for i, row in enumerate(rows) if i != r]
-        term = a * _det_small(sub)
+        if shared is None:
+            d = _det_small([[row[c] for c in range(n) if c != j] for row in others])
+        else:
+            key = labels, cols[:j] + cols[j + 1 :]
+            d = table.get(key) if keyed else None
+            if d is None:
+                d = _det_small([[row[c] for c in range(n) if c != j] for row in others], (*key, table))
+                if keyed:
+                    table[key] = d
+        term = a * d
         if (r + j) % 2:
             term = -term
         total = term if total is None else total + term
@@ -83,9 +106,9 @@ class Realization:
     A realization is an immutable value: ``rows`` is read-only, set once in
     ``__init__``, and ``n``, ``ell`` and ``is_path`` are read off it.
     ``type_at`` memoizes the type of a specialization on the instance.  Every
-    specialization of one path shares one table of the minors made only of
-    unmoving rows (rows of constant entries, and the row at infinity), whose
-    value is the same at every t.
+    specialization of one path shares one table of the minors and sub-minors
+    made only of unmoving rows (rows of constant entries, and the row at
+    infinity), whose value is the same at every t.
     """
 
     __slots__ = ("_rows", "_types", "_fixed")
@@ -106,8 +129,7 @@ class Realization:
 
         self._rows = tuple(tuple(lift(e) for e in r) for r in rows)
         self._types = {}
-        # (unmoving indices, {I: minor}): on a path, the table its
-        # specializations share; on a specialization, the table ``minor`` reads
+        # (unmoving indices, {(labels, cols): determinant}), shared with specializations
         self._fixed = None
         self._validate(allow_coincident)
 
@@ -177,27 +199,30 @@ class Realization:
     def minor(self, I: Iterable[int]):
         """Exact determinant of the rows indexed by the sorted (ℓ+1)-set I.
 
-        On a specialization of a path, a minor made only of the path's
-        unmoving rows is read from the table the path's specializations
-        share, or computed and stored there."""
+        On a specialization of a path it goes through the path's table: row i
+        is labelled i when it is unmoving, the same at every t; a moving row
+        has no label, so no block that holds it is read back at another t."""
         I = tuple(I)
         if len(I) != self.ell + 1 or len(set(I)) != len(I) or list(I) != sorted(I):
             raise ValueError(f"index set {I} must be a sorted ({self.ell + 1})-subset")
         if not all(1 <= i <= self.n + 1 for i in I):
             raise ValueError(f"index set {I} out of range 1..{self.n + 1}")
-        fixed = self._fixed
-        if fixed is None or self.is_path or not fixed[0].issuperset(I):
-            return _det_small([list(self.row(i)) for i in I])
-        value = fixed[1].get(I)
-        if value is None:
-            value = fixed[1][I] = _det_small([list(self.row(i)) for i in I])
+        rows = [list(self.row(i)) for i in I]
+        if self._fixed is None or self.is_path:
+            return _det_small(rows)
+        unmoving, table = self._fixed
+        key = tuple(i if i in unmoving else None for i in I), tuple(range(len(I)))
+        if None in key[0]:
+            return _det_small(rows, (*key, table))
+        if (value := table.get(key)) is None:
+            value = table[key] = _det_small(rows, (*key, table))
         return value
 
     def specialize(self, t) -> "Realization":
         """Evaluate a path realization at a parameter value.  Rows may
         coincide only at t = 0, the degenerate end of a path; at any other t
         coincident rows raise RealizationError.  The result shares the path's
-        table of unmoving-row minors (see ``minor``)."""
+        table of unmoving-row determinants (see ``minor``)."""
         if not self.is_path:
             raise ValueError("specialize applies to path realizations")
         t = _as_fraction(t)

@@ -82,8 +82,8 @@ class DegenerationPath:
     Both types come from ``realization.type_at``; a realization is
     immutable, so they are computed once and kept on it for
     ``multiplicities`` to check against, and
-    the minors made only of unmoving rows are computed at the witness and
-    read back at t = 0.
+    the determinants of blocks made only of unmoving rows, minors and
+    sub-minors, are computed once and read back at the other end.
     Rows may coincide at t = 0 only: the witness is nonzero, and there
     ``type_at`` refuses coincident rows.  A row that vanishes at either end
     is a ``PathError`` naming that end.

@@ -339,6 +339,41 @@ def test_det_small_calls_on_closure_minors():
     assert _counted_det([list(r.row(i)) for i in (1, 2, 3, 4)])[1] == 17
 
 
+@st.composite
+def labelled_pairs(draw):
+    """Two matrices over one ring of ``square_matrices`` that agree on their
+    labelled rows, and the labels: each row a distinct label drawn at
+    random, or None, and each unlabelled row drawn afresh for the second
+    matrix."""
+    ring, M = draw(square_matrices())
+    n = len(M)
+    zero, _, entry = _DET_ENTRIES[ring]
+    labels = tuple(label if draw(st.booleans()) else None
+                   for label in draw(st.permutations(range(1, n + 1))))
+    N = [row if label is not None else [draw(st.one_of(st.just(zero), entry)) for _ in range(n)]
+         for row, label in zip(M, labels)]
+    return ring, labels, M, N
+
+
+@given(labelled_pairs())
+@settings(max_examples=150, deadline=None)
+def test_shared_table_matches_the_cofactor_oracle(pair):
+    """Two determinants through one table: each equals the cofactor oracle
+    and has the type of the ring, and every stored entry is the oracle's
+    determinant of the labelled rows and the columns of its key."""
+    ring, labels, M, N = pair
+    n, table = len(M), {}
+    for A in (M, N):
+        value = arrangement._det_small(A, (labels, tuple(range(n)), table))
+        assert value == cofactor_det(A)
+        assert type(value) is ring
+    for (keyed, cols), value in table.items():
+        assert None not in keyed
+        block = [[M[labels.index(label)][c] for c in cols] for label in keyed]
+        assert value == cofactor_det(block), (keyed, cols)
+        assert type(value) is ring
+
+
 # ---------------------------------------------------------------------------
 # MultiPoly: term times term, direct subtraction, division by a monomial
 # ---------------------------------------------------------------------------

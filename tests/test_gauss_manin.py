@@ -465,10 +465,10 @@ def _top_level_dets(monkeypatch, ell):
 
     real, calls = arrangement._det_small, []
 
-    def counted(rows):
+    def counted(rows, *shared):
         if len(rows) == ell + 1:
             calls.append(rows)
-        return real(rows)
+        return real(rows, *shared)
 
     monkeypatch.setattr(arrangement, "_det_small", counted)
     return calls
@@ -507,6 +507,106 @@ def test_path_typing_refuses_oversized_inputs_before_any_minor(monkeypatch):
     monkeypatch.setattr(arrangement, "_det_small", lambda rows: pytest.fail("a minor was evaluated"))
     with pytest.raises(ValueError, match=r"= 60 cofactor products: over the limit 59$"):
         DegenerationPath(path_rows(PATH_T1), 1)
+
+
+def _evaluated(r, t):
+    """The closure's rows at t, evaluated afresh from the coefficients."""
+    rows = [[sum(c * t**k for k, c in enumerate(e.coeffs)) for e in row] for row in r.rows]
+    return rows + [[1] + [0] * r.ell]
+
+
+def _wide_path(n, ell, k):
+    """n rows with entries in ±[1, 9] drawn from ``random.Random(7)``; each
+    of the first k moves onto the sum of rows k+1 and k+2 at t = 0 and is
+    its own drawn row at t = 1."""
+    rng = random.Random(7)
+    rows = [[rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(ell + 1)] for _ in range(n)]
+    into = [a + b for a, b in zip(rows[k], rows[k + 1])]
+    path = [[PathPoly([x]) for x in row] for row in rows]
+    for i in range(k):
+        path[i] = [PathPoly([a, x - a]) for a, x in zip(into, rows[i])]
+    return Realization(path)
+
+
+def test_endpoint_minors_match_the_cofactor_oracle():
+    """Both endpoints of each path, typed witness first or t = 0 first
+    through one shared table: every minor equals the cofactor determinant
+    of the evaluated rows, and so does every sub-minor the table holds."""
+    paths = shared = 0
+    for r in _typing_paths(random.Random(26)):
+        for order in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
+            path = Realization(r.rows)  # a fresh table for each order
+            for t in order:
+                if _fresh_dep(r, t) is None:
+                    continue
+                s, closure = path.specialize(t), _evaluated(r, t)
+                for I in itertools.combinations(range(1, r.n + 2), r.ell + 1):
+                    assert s.minor(I) == cofactor_det([closure[i - 1] for i in I]), (r.rows, t, I)
+            if path._fixed is None:
+                continue
+            paths += 1
+            for (labels, cols), value in path._fixed[1].items():
+                assert _unmoving(r).issuperset(labels)
+                assert value == cofactor_det([[closure[i - 1][c] for c in cols] for i in labels])
+                shared += len(labels) < r.ell + 1
+    assert paths >= 30 and shared > 0
+
+
+def _det_calls(monkeypatch):
+    """A list that gains (size, shared) for every ``_det_small`` call, the
+    recursive ones included; shared is None for a call without a table."""
+    from gmarr import arrangement
+
+    real, calls = arrangement._det_small, []
+
+    def counted(rows, shared=None):
+        calls.append((len(rows), shared))
+        return real(rows) if shared is None else real(rows, shared)
+
+    monkeypatch.setattr(arrangement, "_det_small", counted)
+    return calls
+
+
+def test_each_shared_block_is_computed_once(monkeypatch):
+    """Typing both endpoints computes each (labels, columns) block of
+    unmoving rows once: the second endpoint, and every later minor of the
+    first, read it from the table."""
+    calls = _det_calls(monkeypatch)
+    for r in (path_rows(PATH_T1), Realization(ladder_path(random.Random(5), 7, 3, 2).realization.rows),
+              _wide_path(9, 6, 1)):
+        calls.clear()
+        DegenerationPath(r, 1)
+        computed = [shared[:2] for _, shared in calls if shared is not None and None not in shared[0]]
+        assert len(computed) == len(set(computed)) == len(r._fixed[1]) > 0
+        assert set(computed) == set(r._fixed[1])
+
+
+def test_all_moving_paths_expand_as_without_a_table(monkeypatch):
+    """When every finite row moves, every block below a minor keeps a row
+    with no label, so typing both endpoints makes the same ``_det_small``
+    calls as typing the same rows without a table."""
+    paths = [r for r in _typing_paths(random.Random(22)) if _unmoving(r) == {r.n + 1}
+             and _fresh_dep(r, Fraction(1)) is not None and _fresh_dep(r, Fraction(0)) is not None]
+    assert len(paths) >= 3
+    calls = _det_calls(monkeypatch)
+    for r in paths:
+        ends = [r.specialize(t) for t in (1, 0)]
+        calls.clear()
+        tabled = [compute_type(s) for s in ends], sorted(size for size, _ in calls)
+        calls.clear()
+        plain = [compute_type(Realization(s.rows, allow_coincident=True)) for s in ends]
+        assert tabled == (plain, sorted(size for size, _ in calls))
+
+
+def test_wide_path_typing_calls(monkeypatch):
+    """n = 9, ℓ = 6, row 1 moving onto the sum of rows 2 and 3: typing both
+    endpoints takes 2724 ``_det_small`` calls, the recursive ones included,
+    where sharing only whole minors of unmoving rows took 304200.  At t = 0
+    the dependent 7-subsets are the C(7, 4) = 35 that hold rows 1, 2 and 3."""
+    r, calls = _wide_path(9, 6, 1), _det_calls(monkeypatch)
+    assert r.type_at(1).dep == frozenset()
+    assert r.type_at(0).dep == {I for I in itertools.combinations(range(1, 11), 7) if I[:3] == (1, 2, 3)}
+    assert len(calls) == 2724
 
 
 # ---------------------------------------------------------------------------
