@@ -8,7 +8,9 @@ infinity as index n+1 with implicit row (1, 0, ..., 0).
 
 A *combinatorial type* records which (ℓ+1)-subsets of the closure have
 vanishing minor.  All matroid data — circuits, frames, nbc and betanbc sets,
-flats, dense edges, Betti numbers, the nonresonance check — derives from it.
+flats, dense edges, Betti numbers, the nonresonance check — derives from it,
+through the type's matroid, whose sets are int bit masks: element x at bit x,
+the hyperplane at infinity at bit n+1.
 
 Hyperplane order is the input row order and is never changed silently: the
 no-broken-circuit combinatorics depends on it.
@@ -310,9 +312,26 @@ def compute_type(r: Realization) -> CombinatorialType:
 # ---------------------------------------------------------------------------
 
 
+def _mask(S: Iterable[int]) -> int:
+    """Bit mask of a set of closure indices: element x at bit x."""
+    return reduce(int.__or__, (1 << x for x in S), 0)
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The elements of a bit mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 class _Matroid:
     """Rank-(ℓ+1) matroid on [n+1], held as its family of independent sets:
-    every subset of a basis, the empty set included."""
+    every subset of a basis, the empty set included.  A set is an int bit
+    mask (``_mask``): element x at bit x, so the hyperplane at infinity is
+    bit n+1 and bit 0 is unused."""
 
     def __init__(self, ground: int, bases: Sequence[tuple[int, ...]], full_rank: int):
         if not bases:
@@ -322,17 +341,16 @@ class _Matroid:
             )
         self.ground = ground
         self.full_rank = full_rank
-        level = {frozenset(B) for B in bases}
+        level = set(map(_mask, bases))
         indep = set(level)
         for _ in range(full_rank):
-            level = {S - {x} for S in level for x in S}
+            level = {S ^ 1 << x for S in level for x in _members(S)}
             indep |= level
         self.indep = frozenset(indep)
 
-    def closure(self, S: Iterable[int]) -> frozenset:
-        """Closure of an independent S: S with every x that makes it dependent."""
-        S = frozenset(S)
-        return S | {x for x in range(1, self.ground + 1) if S | {x} not in self.indep}
+    def closure(self, S: int) -> int:
+        """Closure of an independent mask S: S with every x that makes it dependent."""
+        return S | _mask(x for x in range(1, self.ground + 1) if S | 1 << x not in self.indep)
 
     def circuits_within(self, X: Iterable[int], largest: int | None = None) -> list[frozenset]:
         """Inclusion-minimal dependent subsets of X (dependent sets whose
@@ -343,10 +361,10 @@ class _Matroid:
         if largest is None:
             largest = self.full_rank + 1
         return [
-            C
+            frozenset(C)
             for size in range(1, min(len(X), largest) + 1)
-            for C in map(frozenset, itertools.combinations(X, size))
-            if C not in self.indep and all(C - {x} in self.indep for x in C)
+            for C in itertools.combinations(X, size)
+            if (c := _mask(C)) not in self.indep and all(c ^ 1 << x in self.indep for x in C)
         ]
 
 
@@ -371,7 +389,7 @@ def affine_circuits(T: CombinatorialType) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(sorted(C))
         for C in m.circuits_within(range(1, T.n + 1), T.ell + 1)
-        if C - {min(C)} | {T.n + 1} in m.indep
+        if _mask(C) ^ 1 << min(C) | 1 << T.n + 1 in m.indep
     )
 
 
@@ -392,7 +410,7 @@ def _broken_circuits(T: CombinatorialType) -> dict[tuple[int, ...], int]:
 
 
 def _affine_independent(T: CombinatorialType, S: Iterable[int]) -> bool:
-    return frozenset(S) | {T.n + 1} in _matroid_of(T).indep
+    return _mask(S) | 1 << T.n + 1 in _matroid_of(T).indep
 
 
 @lru_cache(maxsize=TYPE_CACHE_SIZE)
@@ -402,13 +420,12 @@ def nbc_sets(T: CombinatorialType, q: int) -> tuple[tuple[int, ...], ...]:
         return ()
     if q == 0:
         return ((),)
-    bcs = _broken_circuits(T)
+    indep, infinity = _matroid_of(T).indep, 1 << T.n + 1
+    bcs = list(map(_mask, _broken_circuits(T)))
     out = []
     for S in itertools.combinations(range(1, T.n + 1), q):
-        fs = frozenset(S)
-        if any(fs.issuperset(bc) for bc in bcs):
-            continue
-        if _affine_independent(T, fs):
+        s = _mask(S)
+        if s | infinity in indep and not any(b & s == b for b in bcs):
             out.append(S)
     return tuple(out)
 
@@ -426,18 +443,14 @@ def frames(T: CombinatorialType) -> tuple[tuple[int, ...], ...]:
 def betanbc_frames(T: CombinatorialType) -> tuple[tuple[int, ...], ...]:
     """nbc frames B such that for every k there is an H < B[k] outside B with
     (B ∖ {B[k]}) ∪ {H} still a frame."""
-    frame_set = set(frames(T))
+    indep, infinity = _matroid_of(T).indep, 1 << T.n + 1
     out = []
     for B in nbc_sets(T, T.ell):
-        ok = True
-        for k, jk in enumerate(B):
-            if not any(
-                H not in B and tuple(sorted(set(B) - {jk} | {H})) in frame_set
-                for H in range(1, jk)
-            ):
-                ok = False
-                break
-        if ok:
+        b = _mask(B) | infinity
+        if all(
+            any(b ^ 1 << jk | 1 << H in indep for H in range(1, jk) if not b >> H & 1)
+            for jk in B
+        ):
             out.append(B)
     return tuple(out)
 
@@ -447,7 +460,7 @@ def betanbc_frames(T: CombinatorialType) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flat:
     members: tuple[int, ...]
     rank: int
@@ -462,18 +475,18 @@ def flats_and_dense_edges(T: CombinatorialType) -> tuple[Flat, ...]:
     members share a circuit of the restriction); rank-1 flats are dense.
     """
     m = _matroid_of(T)
-    flats = {m.closure(S): len(S) for S in m.indep if 0 < len(S) <= T.ell}
-    out = [Flat(tuple(sorted(X)), r, _is_dense(m, X)) for X, r in flats.items()]
+    flats = {m.closure(S): S.bit_count() for S in m.indep if 0 < S.bit_count() <= T.ell}
+    out = [Flat(X, r, _is_dense(m, X)) for X, r in zip(map(_members, flats), flats.values())]
     out.sort(key=lambda f: (f.rank, f.members))
     return tuple(out)
 
 
-def _is_dense(m: _Matroid, members: frozenset) -> bool:
+def _is_dense(m: _Matroid, members: tuple[int, ...]) -> bool:
     # "x = y, or a circuit holds both" is an equivalence relation whose classes
     # are the connected components (Oxley, Matroid Theory, Prop. 4.1.2), so
     # the restriction is connected when the circuits through one member cover it
-    least = min(members)
-    return members == {least}.union(*(C for C in m.circuits_within(members) if least in C))
+    least = members[0]
+    return set(members) == {least}.union(*(C for C in m.circuits_within(members) if least in C))
 
 
 def dense_edges(T: CombinatorialType) -> tuple[Flat, ...]:

@@ -1,11 +1,14 @@
+import gc
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmarr import arrangement
 from gmarr.arrangement import (
     CombinatorialType,
     Realization,
@@ -28,6 +31,7 @@ from gmarr.reference import EXAMPLES, EXPECTED
 
 from _helpers import (
     betti_oracle,
+    brute_affinely_dependent,
     brute_central_circuits,
     brute_circuits,
     brute_flats,
@@ -423,6 +427,109 @@ def test_flats_and_circuits_match_rank_oracles():
             assert affine_circuits(T) == tuple(brute_central_circuits(vectors, n)), T
             circuits = _matroid_of(T).circuits_within(range(1, n + 2))
             assert [tuple(sorted(C)) for C in circuits] == brute_circuits(vectors, range(1, n + 2))
+
+
+def test_masks_match_rank_oracles_at_rank_five():
+    # (ℓ, n) = (4, 7) and (4, 8), the widest types of the benchmark, half of
+    # them with forced circuits, against oracles that only take ranks
+    rng = random.Random(4078)
+    for n in (7, 8):
+        for forced in (0, n - 5):
+            r = random_realization(rng, n, 4, forced=forced)
+            T = compute_type(r)
+            vectors = closure_vectors(r)
+            expected = sorted(brute_flats(vectors, 4).items(), key=lambda f: (f[1][0], f[0]))
+            assert [(f.members, (f.rank, f.dense)) for f in flats_and_dense_edges(T)] == expected, T
+            assert affine_circuits(T) == tuple(brute_central_circuits(vectors, n)), T
+            for q in range(1, T.ell + 1):
+                assert nbc_sets(T, q) == tuple(brute_nbc(r, q)), (T, q)
+            assert frames(T) == tuple(
+                S
+                for S in itertools.combinations(range(1, n + 1), 4)
+                if not brute_affinely_dependent(vectors, S, n)
+            )
+            assert len(betanbc_frames(T)) == abs(betti_and_euler(T).euler)
+
+
+def test_masks_past_64_bits_match_a_determinant_oracle():
+    # 64 lines in the plane: the closure has 65 elements, so infinity is
+    # bit 65.  The last eight lines pass through the meet of two earlier
+    # lines, or are parallel to one (a combination with the row at infinity).
+    rng = random.Random(65)
+    n = 64
+    while True:
+        rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(n - 8)]
+        for _ in range(8):
+            a, b = rng.sample(rows + [[1, 0, 0]], 2)
+            c, d = rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((-2, -1, 1, 2))
+            rows.append([c * x + d * y for x, y in zip(a, b)])
+        try:
+            r = Realization(rows)
+            break
+        except RealizationError:
+            continue
+    T = compute_type(r)
+    vectors = {i: row for i, row in enumerate(rows + [[1, 0, 0]], start=1)}
+    zero = {I for I in itertools.combinations(range(1, n + 2), 3) if not cofactor_det([vectors[i] for i in I])}
+    # no two rows are proportional, so the rank-2 flats are the lines through
+    # two elements, dense when they hold a third
+    lines = {
+        tuple(x for x in range(1, n + 2) if x in (a, b) or tuple(sorted((a, b, x))) in zero)
+        for a, b in itertools.combinations(range(1, n + 2), 2)
+    }
+    expected = [((x,), 1, True) for x in range(1, n + 2)] + sorted((L, 2, len(L) > 2) for L in lines)
+    assert [(f.members, f.rank, f.dense) for f in flats_and_dense_edges(T)] == expected
+    dense_lines = [f.members for f in dense_edges(T) if f.rank == 2]
+    assert any(n in X for X in dense_lines) and any(n + 1 in X for X in dense_lines)
+
+    def meets(b, c):
+        return (b, c, n + 1) not in zero
+
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    circuits = tuple(C for C in itertools.combinations(range(1, n + 1), 3) if C in zero and meets(*C[1:]))
+    assert any(C[-1] >= 64 for C in circuits)
+    assert affine_circuits(T) == circuits
+    nbc2 = tuple((b, c) for b, c in pairs if meets(b, c) and not any((a, b, c) in zero for a in range(1, b)))
+    assert nbc_sets(T, 1) == tuple((x,) for x in range(1, n + 1))
+    assert nbc_sets(T, 2) == nbc2
+    assert frames(T) == tuple(S for S in pairs if meets(*S))
+    assert len(betanbc_frames(T)) == abs(1 - n + len(nbc2)) == abs(betti_and_euler(T).euler)
+
+
+_TYPE_CACHES = (
+    arrangement._matroid_of,
+    arrangement._broken_circuits,
+    arrangement.nbc_sets,
+    arrangement.betanbc_frames,
+    arrangement.flats_and_dense_edges,
+)
+
+
+def test_type_caches_hold_little_memory():
+    # what the per-type caches still hold, by tracemalloc, after the frames,
+    # dense edges and Betti numbers of eight (4, 8) types, TYPE_CACHE_SIZE of
+    # them: 364 kB with the matroid held as bit masks, 1212 kB with a
+    # frozenset per independent set (CPython 3.11)
+    rng = random.Random(8)
+    types = [compute_type(random_realization(rng, 8, 4, forced=k % 2 * 3)) for k in range(8)]
+    for cached in _TYPE_CACHES:
+        cached.cache_clear()
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        for T in types:
+            betanbc_frames(T)
+            dense_edges(T)
+            betti_and_euler(T)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    held = sum(t.size for t in snapshot.filter_traces([tracemalloc.Filter(True, arrangement.__file__)]).traces)
+    assert held < 730_000, held
 
 
 def test_stv_generic_is_symbolic():

@@ -172,6 +172,24 @@ def test_straighten_matches_oracle_with_a_remainder():
                 assert straighten(S, T) == straighten_oracle(r, S), (r.rows, S)
 
 
+def test_straighten_matches_oracle_through_affine_circuits():
+    # forced dependencies at ℓ = 3 and ℓ = 4, each type with an affinely
+    # independent monomial that holds a broken circuit, so that the circuit
+    # branch of the rewrite runs
+    rng = random.Random(27)
+    for n, ell in ((6, 3), (6, 3), (6, 4), (6, 4)):
+        monomials = [S for q in range(1, ell + 1) for S in itertools.combinations(range(1, n + 1), q)]
+        for _ in range(100):
+            r = random_realization(rng, n, ell, forced=n - ell - 1)
+            T = compute_type(r)
+            if any(straighten(S, T) not in ({S: 1}, {}) for S in monomials):
+                break
+        else:
+            raise AssertionError(f"no n={n}, ell={ell} type in 100 draws rewrites a monomial")
+        for S in monomials:
+            assert straighten(S, T) == straighten_oracle(r, S), (r.rows, S)
+
+
 def test_straighten_is_linear_over_circuit_boundaries():
     # the signed alternating sum over any concurrent triple straightens to 0
     for T, dep in [(T_TRIPLE, (1, 2, 3)), (T_SELBERG, (2, 4, 5))]:
