@@ -35,10 +35,10 @@ TYPE_CACHE_SIZE = 8
 # Largest C(n+1, ℓ+1)·(ℓ+1)! that ``compute_type`` takes on: the cofactor
 # products of its minors when every row is dense.  ``gmarr analyze`` on dense
 # random files (2-vCPU x86-64, CPython 3.11): accepted, ℓ = 2, n = 40
-# (63960) 0.9 s and n = 100 (999900) 29 s, 5.8 s of it minors; ℓ = 3, n = 32
-# (982080) 5.8 s; ℓ = 6, n = 9 (604800) 1.1 s.  Refused: ℓ = 3, n = 35
-# (1413720) 13 s; ℓ = 6, n = 10 (1663200) 3.1–3.9 s.  The tests and the
-# benchmark reach 32760 (ℓ = 3, n = 14).
+# (63960) 0.6 s and n = 100 (999900) 5.1 s, 4.3 s of it minors; ℓ = 3, n = 32
+# (982080) 4.0 s; ℓ = 6, n = 9 (604800) 1.0 s.  Refused, minors alone with
+# the limit lifted: ℓ = 3, n = 35 (1413720) 5.5 s; ℓ = 6, n = 10 (1663200)
+# 3.3 s.  The tests and the benchmark reach 32760 (ℓ = 3, n = 14).
 MAX_TYPE_PRODUCTS = 1_000_000
 
 
@@ -51,54 +51,58 @@ class NotMatroidal(ValueError):
     infinity have rank below ℓ+1, so the arrangement is not essential."""
 
 
-def _det_small(rows: list[list], shared: tuple | None = None) -> object:
+def _det_small(rows: Sequence[Sequence], shared: tuple | None = None) -> object:
     """Cofactor-expansion determinant; works over any commutative ring.
 
-    Each level expands along the row with the most zeros, the first on a tie
-    (so a matrix without zeros expands along row 0), and skips a zero entry
-    with its subtree: the row at infinity (1, 0, …, 0) and a path's unit
-    rows then cost one recursive call instead of one per column.
+    Each row's nonzero columns are read once into an int mask, and ``_expand``
+    expands in place over row positions and a column mask.  Each level expands
+    along the row with the most zeros, the first on a tie (so a matrix without
+    zeros expands along row 0), and skips a zero entry with its subtree: the
+    row at infinity (1, 0, …, 0) and a path's unit rows then cost one call.
 
     ``shared`` = (labels, cols, table) shares sub-determinants between
     matrices: a block whose rows all carry a label (None marks a row that
-    differs between them) is keyed by its labels and the indices ``cols`` of
-    its columns, and computed once.  Unless a row has one nonzero entry, the
-    sparsest unlabelled row goes first, so that the blocks below are keyed."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
+    differs between them) is keyed by its labels and its column mask (``cols``
+    is the whole matrix's), and computed once.  Unless a row has one nonzero
+    entry, the sparsest unlabelled row goes first, so the blocks below are keyed."""
+    masks = [sum(1 << j for j, a in enumerate(row) if a) for row in rows]
+    labels, cols, table = shared or (None, (1 << len(rows)) - 1, None)
+    return _expand(rows, masks, tuple(range(len(rows))), cols, labels, table)
+
+
+def _expand(rows, masks, pos, cols, labels, table):
+    """Rows ``pos`` × columns ``cols`` of ``_det_small``; ``labels`` None drops the table."""
+    n = len(pos)
     if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    nonzero = [sum(map(bool, row)) for row in rows]
+        a, b, j, k = rows[pos[0]], rows[pos[1]], (cols & -cols).bit_length() - 1, cols.bit_length() - 1
+        return a[j] * b[k] - a[k] * b[j]
+    if n == 1:
+        return rows[pos[0]][cols.bit_length() - 1]
+    nonzero = [(masks[p] & cols).bit_count() for p in pos]
     r = nonzero.index(min(nonzero))
-    if shared is not None and shared[0].count(None) < n - 1:
-        labels, cols, table = shared
+    if labels is not None and labels.count(None) < n - 1:
         if nonzero[r] > 1 and None in labels:
             r = min((c, i) for i, c in enumerate(nonzero) if labels[i] is None)[1]
         labels = labels[:r] + labels[r + 1 :]
         keyed = None not in labels
     else:
-        shared = None  # every block below keeps an unlabelled row
-    others = [row for i, row in enumerate(rows) if i != r]
-    total = None
-    for j, a in enumerate(rows[r]):
-        if not a:
-            continue
-        if shared is None:
-            d = _det_small([[row[c] for c in range(n) if c != j] for row in others])
-        else:
-            key = labels, cols[:j] + cols[j + 1 :]
-            d = table.get(key) if keyed else None
-            if d is None:
-                d = _det_small([[row[c] for c in range(n) if c != j] for row in others], (*key, table))
-                if keyed:
-                    table[key] = d
-        term = a * d
-        if (r + j) % 2:
+        labels = keyed = None  # every block below keeps an unlabelled row
+    row, rest, bits, total = rows[pos[r]], pos[:r] + pos[r + 1 :], masks[pos[r]] & cols, None
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        sub = cols ^ low
+        d = table.get((labels, sub)) if keyed else None
+        if d is None:
+            d = _expand(rows, masks, rest, sub, labels, table)
+            if keyed:
+                table[labels, sub] = d
+        term = row[low.bit_length() - 1] * d
+        if (r + (cols & (low - 1)).bit_count()) & 1:
             term = -term
         total = term if total is None else total + term
-    if total is None:
-        total = rows[r][0] - rows[r][0]  # zero of the entry ring
+    if total is None:  # the zero of the entry ring
+        total = row[cols.bit_length() - 1] - row[cols.bit_length() - 1]
     return total
 
 
@@ -131,7 +135,7 @@ class Realization:
 
         self._rows = tuple(tuple(lift(e) for e in r) for r in rows)
         self._types = {}
-        # (unmoving indices, {(labels, cols): determinant}), shared with specializations
+        # (unmoving indices, {(labels, column mask): determinant}), shared with specializations
         self._fixed = None
         self._validate(allow_coincident)
 
@@ -209,11 +213,11 @@ class Realization:
             raise ValueError(f"index set {I} must be a sorted ({self.ell + 1})-subset")
         if not all(1 <= i <= self.n + 1 for i in I):
             raise ValueError(f"index set {I} out of range 1..{self.n + 1}")
-        rows = [list(self.row(i)) for i in I]
+        rows = [self.row(i) for i in I]
         if self._fixed is None or self.is_path:
             return _det_small(rows)
         unmoving, table = self._fixed
-        key = tuple(i if i in unmoving else None for i in I), tuple(range(len(I)))
+        key = tuple(i if i in unmoving else None for i in I), (1 << len(I)) - 1
         if None in key[0]:
             return _det_small(rows, (*key, table))
         if (value := table.get(key)) is None:
@@ -299,11 +303,7 @@ def compute_type(r: Realization) -> CombinatorialType:
     if (count := math.comb(r.n + 1, r.ell + 1) * math.factorial(r.ell + 1)) > MAX_TYPE_PRODUCTS:
         raise ValueError(f"typing n={r.n}, ell={r.ell} takes C({r.n + 1}, {r.ell + 1})·{r.ell + 1}! = "
                          f"{count} cofactor products: over the limit {MAX_TYPE_PRODUCTS}")
-    dep = [
-        I
-        for I in itertools.combinations(range(1, r.n + 2), r.ell + 1)
-        if not r.minor(I)
-    ]
+    dep = [I for I in itertools.combinations(range(1, r.n + 2), r.ell + 1) if not r.minor(I)]
     return CombinatorialType(r.n, r.ell, dep)
 
 

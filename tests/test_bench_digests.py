@@ -52,6 +52,7 @@ def test_the_reference_table_is_read():
     ("sweep-concrete", 1),
     ("sweep-concrete", 101),
     ("types-wide", 1),
+    ("types-wide", 101),
 ])
 def test_first_round_digest_is_the_reference(tmp_path, workload, seed):
     prepare, run_case, _ = bench_workloads.WORKLOADS[workload]

@@ -264,7 +264,7 @@ def square_matrices(draw):
     rows overwritten at any index: a zero row, a unit row, or a row zero
     outside a few columns, which is then often the sparsest row."""
     ring = draw(st.sampled_from(list(_DET_ENTRIES)))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
     zero, one, entry = _DET_ENTRIES[ring]
     cell = st.one_of(st.just(zero), entry)
     M = [[draw(cell) for _ in range(n)] for _ in range(n)]
@@ -282,24 +282,25 @@ def square_matrices(draw):
 
 
 def _counted_det(M):
-    """``_det_small(M)`` and the number of calls it made, the recursive ones
-    included: they go through the module global, which is wrapped here."""
-    det, calls = arrangement._det_small, 0
+    """``_det_small(M)`` and the number of blocks it expanded, the whole
+    matrix included: ``_expand`` recurses through the module global, which
+    is wrapped here."""
+    expand, calls = arrangement._expand, 0
 
-    def counting(rows):
+    def counting(*args):
         nonlocal calls
         calls += 1
-        return det(rows)
+        return expand(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(arrangement, "_det_small", counting)
+        mp.setattr(arrangement, "_expand", counting)
         value = arrangement._det_small(M)
     return value, calls
 
 
 def _sparsest_row_calls(M):
-    """Calls made by an expansion along the first row with the fewest nonzero
-    entries, one per nonzero entry of that row, down to 2×2."""
+    """Blocks expanded by an expansion along the first row with the fewest
+    nonzero entries, one per nonzero entry of that row, down to 2×2."""
     n = len(M)
     if n <= 2:
         return 1
@@ -360,16 +361,16 @@ def labelled_pairs(draw):
 def test_shared_table_matches_the_cofactor_oracle(pair):
     """Two determinants through one table: each equals the cofactor oracle
     and has the type of the ring, and every stored entry is the oracle's
-    determinant of the labelled rows and the columns of its key."""
+    determinant of the labelled rows and the columns of its key's mask."""
     ring, labels, M, N = pair
     n, table = len(M), {}
     for A in (M, N):
-        value = arrangement._det_small(A, (labels, tuple(range(n)), table))
+        value = arrangement._det_small(A, (labels, (1 << n) - 1, table))
         assert value == cofactor_det(A)
         assert type(value) is ring
     for (keyed, cols), value in table.items():
         assert None not in keyed
-        block = [[M[labels.index(label)][c] for c in cols] for label in keyed]
+        block = [[M[labels.index(label)][c] for c in range(n) if cols >> c & 1] for label in keyed]
         assert value == cofactor_det(block), (keyed, cols)
         assert type(value) is ring
 

@@ -547,23 +547,25 @@ def test_endpoint_minors_match_the_cofactor_oracle():
             paths += 1
             for (labels, cols), value in path._fixed[1].items():
                 assert _unmoving(r).issuperset(labels)
-                assert value == cofactor_det([[closure[i - 1][c] for c in cols] for i in labels])
+                block = [[closure[i - 1][c] for c in range(r.ell + 1) if cols >> c & 1] for i in labels]
+                assert value == cofactor_det(block)
                 shared += len(labels) < r.ell + 1
     assert paths >= 30 and shared > 0
 
 
 def _det_calls(monkeypatch):
-    """A list that gains (size, shared) for every ``_det_small`` call, the
-    recursive ones included; shared is None for a call without a table."""
+    """A list that gains (size, key) for every block ``_det_small`` expands,
+    the whole minor included; key is the block's (labels, column mask), or
+    None for a block without a table."""
     from gmarr import arrangement
 
-    real, calls = arrangement._det_small, []
+    real, calls = arrangement._expand, []
 
-    def counted(rows, shared=None):
-        calls.append((len(rows), shared))
-        return real(rows) if shared is None else real(rows, shared)
+    def counted(rows, masks, pos, cols, labels, table):
+        calls.append((len(pos), None if labels is None else (labels, cols)))
+        return real(rows, masks, pos, cols, labels, table)
 
-    monkeypatch.setattr(arrangement, "_det_small", counted)
+    monkeypatch.setattr(arrangement, "_expand", counted)
     return calls
 
 
@@ -576,15 +578,15 @@ def test_each_shared_block_is_computed_once(monkeypatch):
               _wide_path(9, 6, 1)):
         calls.clear()
         DegenerationPath(r, 1)
-        computed = [shared[:2] for _, shared in calls if shared is not None and None not in shared[0]]
+        computed = [key for _, key in calls if key is not None and None not in key[0]]
         assert len(computed) == len(set(computed)) == len(r._fixed[1]) > 0
         assert set(computed) == set(r._fixed[1])
 
 
 def test_all_moving_paths_expand_as_without_a_table(monkeypatch):
     """When every finite row moves, every block below a minor keeps a row
-    with no label, so typing both endpoints makes the same ``_det_small``
-    calls as typing the same rows without a table."""
+    with no label, so typing both endpoints expands the same blocks as
+    typing the same rows without a table."""
     paths = [r for r in _typing_paths(random.Random(22)) if _unmoving(r) == {r.n + 1}
              and _fresh_dep(r, Fraction(1)) is not None and _fresh_dep(r, Fraction(0)) is not None]
     assert len(paths) >= 3
@@ -600,8 +602,8 @@ def test_all_moving_paths_expand_as_without_a_table(monkeypatch):
 
 def test_wide_path_typing_calls(monkeypatch):
     """n = 9, ℓ = 6, row 1 moving onto the sum of rows 2 and 3: typing both
-    endpoints takes 2724 ``_det_small`` calls, the recursive ones included,
-    where sharing only whole minors of unmoving rows took 304200.  At t = 0
+    endpoints expands 2724 blocks, the whole minors included, where sharing
+    only whole minors of unmoving rows took 304200.  At t = 0
     the dependent 7-subsets are the C(7, 4) = 35 that hold rows 1, 2 and 3."""
     r, calls = _wide_path(9, 6, 1), _det_calls(monkeypatch)
     assert r.type_at(1).dep == frozenset()
