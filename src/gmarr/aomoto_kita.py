@@ -80,8 +80,7 @@ def _block(J: tuple[int, ...], w: Weights, basis, index):
     elif 1 not in J:  # J holds n+1
         Jp = tuple(x for x in J if x != inf)
         col = index[Jp]
-        outside = [j for j in range(1, n + 1) if j not in Jp]
-        yield col, col, -w.weight_sum(outside)
+        yield col, col, w.weight_sum(J)
         jset = set(Jp)
         for I in basis:
             extra = set(I) - jset

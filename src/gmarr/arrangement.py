@@ -248,44 +248,35 @@ class Realization:
         return T
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class CombinatorialType:
     """(n, ℓ, dep): which (ℓ+1)-subsets of the projective closure degenerate.
 
-    An immutable value: every attribute is set once in ``__init__``, and the
-    hash the per-type caches key on is computed there."""
+    An immutable value; ``dep`` is stored as a frozenset of sorted tuples,
+    whatever iterable of subsets it is given as."""
 
-    __slots__ = ("n", "ell", "dep", "_hash")
+    n: int
+    ell: int
+    dep: frozenset[tuple[int, ...]]
 
-    def __init__(self, n: int, ell: int, dep: Iterable[Iterable[int]]):
+    def __post_init__(self):
+        n, ell = self.n, self.ell
         if ell < 1 or n < ell:
             raise ValueError(f"need n >= ell >= 1, got n={n}, ell={ell}")
         clean = set()
-        for J in dep:
+        for J in self.dep:
             J = tuple(sorted(J))
             if len(J) != ell + 1 or len(set(J)) != ell + 1:
                 raise ValueError(f"dep member {J} is not an (ell+1)-subset")
             if not all(1 <= j <= n + 1 for j in J):
                 raise ValueError(f"dep member {J} out of range 1..{n + 1}")
             clean.add(J)
-        dep = frozenset(clean)
-        for name, value in (("n", n), ("ell", ell), ("dep", dep), ("_hash", hash((n, ell, dep)))):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CombinatorialType is immutable: cannot set {name!r}")
+        object.__setattr__(self, "dep", frozenset(clean))
 
     @property
     def normal_position(self) -> bool:
         I0 = tuple(range(1, self.ell + 1)) + (self.n + 1,)
         return I0 not in self.dep
-
-    def __eq__(self, other):
-        if not isinstance(other, CombinatorialType):
-            return NotImplemented
-        return (self.n, self.ell, self.dep) == (other.n, other.ell, other.dep)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         dep = sorted(self.dep)
@@ -418,8 +409,6 @@ def nbc_sets(T: CombinatorialType, q: int) -> tuple[tuple[int, ...], ...]:
     """Sorted q-subsets of [n]: affinely independent, containing no broken circuit."""
     if q < 0 or q > T.ell:
         return ()
-    if q == 0:
-        return ((),)
     indep, infinity = _matroid_of(T).indep, 1 << T.n + 1
     bcs = list(map(_mask, _broken_circuits(T)))
     out = []

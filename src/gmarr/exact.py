@@ -411,11 +411,9 @@ def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
         return a
-    if b.is_const():
-        return a * _cdiv(1, b.const_value())
     guard = _guard(a.nvars)
     if len(b._terms) == 1:
-        # monomial divisor: shift every key, scale every coefficient
+        # monomial divisor, a constant included: shift keys, scale coefficients
         ((kb, cb),) = b._terms.items()
         quot = {}
         for ka, ca in a._terms.items():

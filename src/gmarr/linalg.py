@@ -14,9 +14,8 @@ routine:
   lcm of their denominators (``_integer_row``); the scaling changes neither
   the nonzero pattern the pivots are chosen from nor the rank, and it
   multiplies each read-off entry by the scales of the rows in its minor.
-  ``gauss_manin.solve_connection`` applies the same rule to a whole concrete
-  matrix B at once, so one scale s serves every row: its ``mat_mul``
-  products and its row check run on ints, and Ω is read off as W/(d·s).
+  ``gauss_manin.solve_connection`` scales a whole concrete B by the same
+  rule (see there).
 * ``MultiPoly`` systems, divided exactly by ``poly_exact_div``, with
   ``int`` coefficients wherever they are integral.  On the ladder
   degenerations every entry and pivot is a single term, so the division
@@ -39,7 +38,7 @@ row with a nonzero entry is chosen, so results are reproducible.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import MultiPoly, poly_exact_div
 
@@ -55,13 +54,10 @@ def _exact_div(a, b):
     return a / b
 
 
-class EchelonResult:
-    __slots__ = ("rows", "pivots", "order")
-
-    def __init__(self, rows, pivots, order):
-        self.rows = rows          # echelon form, Bareiss-scaled
-        self.pivots = pivots      # list of (row, col)
-        self.order = order        # input index of each output row
+class EchelonResult(NamedTuple):
+    rows: list[list]                # echelon form, Bareiss-scaled
+    pivots: list[tuple[int, int]]   # (row, col) of each pivot
+    order: list[int]                # input index of each output row
 
     @property
     def rank(self) -> int:

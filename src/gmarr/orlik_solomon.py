@@ -15,8 +15,7 @@ basis onto the one of a degenerate type.
 Scalars follow the weight mode: MultiPoly for generic weights, Fraction for
 concrete ones; the projection matrix is kept over one common denominator.
 With concrete weights that denominator d and the numerators N are Python
-ints, and ``gauss_manin.solve_connection`` scales B to ints by s, the lcm of
-its denominators, so its read-off and check run on ints too: Ω = W/(d·s).
+ints; ``gauss_manin.solve_connection`` says how Ω is read off them over ints.
 """
 
 from __future__ import annotations
@@ -213,9 +212,7 @@ class ProjectionMatrix:
 def _eta_image(I: tuple[int, ...], T: CombinatorialType, w: Weights) -> dict:
     """λ_{i₁}⋯λ_{i_ℓ} · a_I, straightened in the target type; a zero
     product is dropped, so a zero weight leaves its monomial out."""
-    lam_prod = w.one_scalar()
-    for i in I:
-        lam_prod = lam_prod * w.weight(i)
+    lam_prod = math.prod(map(w.weight, I), start=w.one_scalar())
     return {S: c for S, v in straighten(I, T).items() if (c := lam_prod * v)}
 
 

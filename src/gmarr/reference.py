@@ -13,6 +13,8 @@ collapses, Ω² = λ_X·Ω and tr Ω = r·λ_X, so Ω/λ_X is a projection of ra
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .aomoto_kita import omega_general
 from .arrangement import (
     Realization,
@@ -174,13 +176,10 @@ def _rendered(entries):
     return tuple(tuple(render_scalar(e) for e in row) for row in entries)
 
 
-class CheckResult:
-    __slots__ = ("name", "ok", "detail")
-
-    def __init__(self, name: str, ok: bool, detail: str = ""):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
+class CheckResult(NamedTuple):
+    name: str
+    ok: bool
+    detail: str = ""
 
 
 def _compare(name: str, got) -> CheckResult:

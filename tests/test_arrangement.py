@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -651,6 +652,49 @@ def test_combinatorial_type_equality_and_hash():
     T2 = CombinatorialType(4, 2, frozenset({(1, 2, 3)}))
     assert T1 == T2 and hash(T1) == hash(T2)
     assert T1 != CombinatorialType(4, 2, frozenset())
+
+
+def test_combinatorial_type_is_the_value_of_its_dep_set():
+    """The Selberg dep given in any order of subsets and of their members,
+    as a list, a generator or a frozenset, makes one value: equal, equally
+    hashed (as (n, ℓ, dep)), one ``betanbc_frames`` cache entry, and a repr
+    that lists dep sorted."""
+    T = compute_type(Realization(SELBERG))
+    dep = sorted(T.dep)
+    shuffled = [tuple(reversed(J)) for J in reversed(dep)]
+    variants = [
+        CombinatorialType(5, 2, dep),
+        CombinatorialType(5, 2, shuffled),
+        CombinatorialType(5, 2, (J for J in shuffled)),
+        CombinatorialType(5, 2, frozenset(shuffled)),
+        CombinatorialType(5, 2, [set(J) for J in dep]),
+    ]
+    betanbc_frames.cache_clear()
+    for V in variants:
+        assert V == T and hash(V) == hash(T) == hash((5, 2, frozenset(dep)))
+        assert V.dep == frozenset(dep)
+        assert betanbc_frames(V) == betanbc_frames(T)
+    assert betanbc_frames.cache_info().currsize == 1
+    assert repr(variants[1]) == (
+        "CombinatorialType(n=5, ell=2, dep=[(1, 2, 6), (1, 3, 5), (2, 4, 5), (3, 4, 6)])")
+    assert T != "selberg" and T.__eq__("selberg") is NotImplemented
+
+
+def test_replacing_dep_revalidates_it():
+    T = compute_type(Realization(TRIPLE_POINT))
+    with pytest.raises(ValueError, match=r"dep member \(1, 2, 9\) out of range 1..5"):
+        dataclasses.replace(T, dep=[(1, 2, 9)])
+
+
+def test_nbc_sets_outside_0_to_ell_are_empty():
+    T = compute_type(Realization(TRIPLE_POINT))
+    assert nbc_sets(T, -1) == nbc_sets(T, T.ell + 1) == ()
+
+
+def test_weights_repr():
+    assert repr(Weights.generic(3)) == "Weights.generic(3)"
+    assert repr(Weights.concrete([F(1, 2), 3])) == (
+        "Weights.concrete((Fraction(1, 2), Fraction(3, 1)))")
 
 
 @pytest.mark.parametrize("owner, attr, value", [

@@ -818,6 +818,22 @@ def test_verify_reports_a_failing_check(monkeypatch, capsys):
     ]
 
 
+def test_verify_reports_a_path_of_another_type(monkeypatch, capsys):
+    # the first triple-point path replaced by one from general position: its
+    # witness type is checked before any connection, so it has no Ω to certify
+    rows = [["0", "1", "0"], ["0", "0", "1"], ["-t", "1", "1"], ["-2", "1", "-1"]]
+    monkeypatch.setitem(EXAMPLES, "triple_point_path_1",
+                        {**EXAMPLES["triple_point_path_1"], "rows": rows})
+    code, out, err = run(capsys, "verify-paper")
+    lines = out.strip().splitlines()
+    assert code == 2 and err == ""
+    assert [line for line in lines if not line.startswith("ok   ")] == [
+        "FAIL connection T1: path witness type is [], expected [(1, 2, 3)]",
+        "FAIL spectral triple_point_path_1: the path has no connection matrix",
+        f"{len(lines) - 1} checks, 2 failures",
+    ]
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify-paper", "--format", "json")
     assert code == 0

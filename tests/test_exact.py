@@ -128,6 +128,27 @@ def test_polynomial_over_a_constant_is_the_polynomial():
     assert hash(RatFunc(p)) == hash(p)
 
 
+def test_equal_rational_functions_built_differently_hash_equal():
+    l1, l2 = L(2, 1), L(2, 2)
+    f, g = RatFunc(l1 * l2 + l2, l2 * l2), RatFunc(2 * l1 + 2, 2 * l2)
+    assert f == g and hash(f) == hash(g)
+    assert repr(f) == "RatFunc('(l1 + 1)/(l2)')"
+    assert RatFunc(l1) == l1 and l1 == RatFunc(l1)
+
+
+def test_foreign_operands_are_handed_back_to_python():
+    """An operand that is neither a rational nor a polynomial is left to
+    Python: arithmetic raises TypeError and equality is False."""
+    p, t = L(2, 1) + 1, parse_path_poly("1 - t")
+    for a in (p, t):
+        for op in (lambda x, y: x + y, lambda x, y: y + x, lambda x, y: x - y,
+                   lambda x, y: y - x, lambda x, y: x * y, lambda x, y: y * x):
+            with pytest.raises(TypeError):
+                op(a, "x")
+    for a in (p, t, RatFunc(p, L(2, 2))):
+        assert a != "x" and a.__eq__("x") is NotImplemented
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RatFunc(L(2, 1), MultiPoly.zero(2))

@@ -178,6 +178,10 @@ def test_mat_mul_matches_the_dense_triple_loop(AB):
     _same(mat_mul(A, B), dense_mat_mul(A, B))
 
 
+def test_mat_mul_with_an_empty_operand():
+    assert mat_mul([], [[1, 2]]) == mat_mul([[1, 2]], []) == []
+
+
 def test_mat_mul_cancellations_and_typed_zeros():
     l1, l2 = MultiPoly.variable(NVARS, 1), MultiPoly.variable(NVARS, 2)
     p, q = l1 + 2 * l2, l1 * l2 - Fraction(1, 2)
@@ -249,13 +253,30 @@ def test_echelon_matches_the_dense_loop(kind, rows, ncols, tail, data):
 # determinants: the sparsest-row expansion against the row-0 cofactor oracle
 # ---------------------------------------------------------------------------
 
-# ring: (zero, one, nonzero entries)
+# The nonzero values of ``_coeffs``, simplest first.  The matrices below draw
+# entries nonzero by construction and zero or not by one boolean
+# (``_draw_row``): with filtered entries and ``st.one_of`` cells, shrinking a
+# failing 8×8 example took minutes.
+_NONZERO_COEFFS = st.sampled_from(sorted(
+    {Fraction(p, q) for q in (1, 2, 3) for p in range(-3 * q, 3 * q + 1) if p},
+    key=lambda c: (c.denominator, abs(c), c < 0)))
+
+# ring: (zero, one, nonzero entries); a path entry has a nonzero top coefficient
 _DET_ENTRIES = {
-    int: (0, 1, st.integers(-4, 4).filter(bool)),
-    Fraction: (Fraction(0), Fraction(1), _coeffs.filter(bool)),
+    int: (0, 1, st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4])),
+    Fraction: (Fraction(0), Fraction(1), _NONZERO_COEFFS),
     PathPoly: (PathPoly(), PathPoly.const(1),
-               st.lists(_coeffs, max_size=3).map(PathPoly).filter(bool)),
+               st.builds(lambda low, top: PathPoly(low + [top]),
+                         st.lists(_coeffs, max_size=2), _NONZERO_COEFFS)),
 }
+
+
+def _draw_row(draw, ring, n):
+    """n entries of ``ring``, each zero or nonzero with even odds; a
+    boolean is cheaper to draw than ``st.one_of``, which builds a strategy
+    per draw."""
+    zero, _, entry = _DET_ENTRIES[ring]
+    return [draw(entry) if draw(st.booleans()) else zero for _ in range(n)]
 
 
 @st.composite
@@ -266,8 +287,7 @@ def square_matrices(draw):
     ring = draw(st.sampled_from(list(_DET_ENTRIES)))
     n = draw(st.integers(1, 8))
     zero, one, entry = _DET_ENTRIES[ring]
-    cell = st.one_of(st.just(zero), entry)
-    M = [[draw(cell) for _ in range(n)] for _ in range(n)]
+    M = [_draw_row(draw, ring, n) for _ in range(n)]
     for i in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
         shape = draw(st.sampled_from(["zero", "unit", "sparse"]))
         if shape == "zero":
@@ -348,11 +368,9 @@ def labelled_pairs(draw):
     matrix."""
     ring, M = draw(square_matrices())
     n = len(M)
-    zero, _, entry = _DET_ENTRIES[ring]
     labels = tuple(label if draw(st.booleans()) else None
                    for label in draw(st.permutations(range(1, n + 1))))
-    N = [row if label is not None else [draw(st.one_of(st.just(zero), entry)) for _ in range(n)]
-         for row, label in zip(M, labels)]
+    N = [row if label is not None else _draw_row(draw, ring, n) for row, label in zip(M, labels)]
     return ring, labels, M, N
 
 
@@ -440,6 +458,20 @@ def test_division_by_a_monomial(m, q):
     expected = {tuple(x - y for x, y in zip(e, em)): Fraction(c) / Fraction(cm)
                 for e, c in p.terms.items()}
     assert got.terms == expected
+    _stored_form(got)
+
+
+@given(st.one_of(polys(), st.lists(_coeffs, max_size=4).map(PathPoly)),
+       st.sampled_from([1, -1, 3, Fraction(-2, 3), Fraction(5, 7)]))
+@settings(max_examples=100, deadline=None)
+def test_division_by_a_constant(p, c):
+    """A constant divisor is the monomial of exponent zero: the quotient is
+    p times 1/c, of p's class, with integral coefficients stored as int."""
+    const = PathPoly.const(c) if type(p) is PathPoly else MultiPoly.const(NVARS, c)
+    got = poly_exact_div(p, const)
+    assert type(got) is type(p)
+    assert got == p * (1 / Fraction(c))
+    assert got.terms == {e: Fraction(x) / c for e, x in p.terms.items()}
     _stored_form(got)
 
 

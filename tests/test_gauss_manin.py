@@ -1049,6 +1049,23 @@ def test_codim1_requires_standard_position():
         codim1_projection_closed_form(T)
 
 
+def test_codim1_basis_is_the_betanbc_frames_of_every_standard_type(monkeypatch):
+    """The closed form's columns are the betanbc frames of T for both
+    standard positions of K, every 1 <= ℓ <= 4 and ℓ < n <= 8, so its guard
+    against disagreeing frames holds there; with the frames changed, the
+    guard refuses."""
+    from gmarr import gauss_manin
+
+    for ell in range(1, 5):
+        for n in range(ell + 1, 9):
+            for K in (tuple(range(1, ell + 2)), tuple(range(n - ell + 1, n + 2))):
+                T = CombinatorialType(n, ell, [K])
+                assert codim1_projection_closed_form(T).col_basis == betanbc_frames(T)
+    monkeypatch.setattr(gauss_manin, "betanbc_frames", lambda T: betanbc_frames(T)[1:])
+    with pytest.raises(RuntimeError, match="betanbc frames disagree"):
+        codim1_projection_closed_form(CombinatorialType(4, 2, [(1, 2, 3)]))
+
+
 def test_normalize_codim1_type():
     T = CombinatorialType(5, 2, [(2, 4, 5)])
     normalized, perm = normalize_codim1_type(T)

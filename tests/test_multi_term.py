@@ -6,17 +6,22 @@ and a multi-term denominator, and it must specialise to the concrete
 projection, which runs on ints.  The second case is a frame-basis pole: at
 weights with λ₂ + λ₆ + λ₇ = 0 the frame monomials stop spanning top
 cohomology modulo coboundaries, and the generic denominator carries that
-linear factor.
+linear factor.  Random pencil paths, one row moving into the pencil of two
+others, give multi-term connection matrices along whole degenerations.
 """
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from gmarr.arrangement import Realization, Weights, compute_type
+from _helpers import pencil_path, random_nonresonant_weights
+
+from gmarr.arrangement import Realization, RealizationError, Weights, compute_type
 from gmarr.cli import main
-from gmarr.exact import MultiPoly, poly_exact_div
+from gmarr.exact import MultiPoly, evaluate, poly_exact_div
+from gmarr.gauss_manin import DegenerationPath, PathError, connection_for_path
 from gmarr.orlik_solomon import SpanDefect, projection_matrix
 
 # nine lines in the plane with entries in {-1, 0, 1}
@@ -71,3 +76,29 @@ def test_connection_through_the_frame_basis_pole_with_generic_weights(tmp_path, 
     assert capsys.readouterr().out
     assert main(["connection", str(f)]) == 2
     assert "(2, 6, 7)" in capsys.readouterr().err
+
+
+def test_pencil_paths_specialise_to_the_concrete_connection():
+    """Eighty seeded pencil paths (n ∈ {6, 7}, ℓ ∈ {2, 3}, witness t = 1):
+    each is refused with ``PathError`` or ``RealizationError``, or its
+    symbolic Ω, whose entries have many terms, evaluates exactly to the
+    concrete Ω at two nonresonant weight vectors.  Their projections run
+    the general routes of ``poly_exact_div`` and ``poly_gcd``."""
+    degenerations, most_terms = 0, 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        n, ell = rng.choice((6, 7)), rng.choice((2, 3))
+        try:
+            p = DegenerationPath(pencil_path(rng, n, ell), 1)
+        except (PathError, RealizationError):
+            continue
+        degenerations += 1
+        omega, _ = connection_for_path(p)
+        most_terms = max([most_terms, *(len(x.num.terms) for row in omega.entries for x in row)])
+        for _ in range(2):
+            values = random_nonresonant_weights(rng, p.T)
+            concrete, _ = connection_for_path(p, Weights.concrete(values))
+            assert concrete.basis == omega.basis, seed
+            specialised = tuple(tuple(evaluate(x, values) for x in row) for row in omega.entries)
+            assert specialised == concrete.entries, seed
+    assert degenerations >= 10 and most_terms > 1, (degenerations, most_terms)
