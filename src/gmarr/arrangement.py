@@ -34,11 +34,11 @@ TYPE_CACHE_SIZE = 8
 
 # Largest C(n+1, ℓ+1)·(ℓ+1)! that ``compute_type`` takes on: the cofactor
 # products of its minors when every row is dense.  ``gmarr analyze`` on dense
-# random files (2-vCPU x86-64, CPython 3.11): accepted, ℓ = 2, n = 40
-# (63960) 0.6 s and n = 100 (999900) 5.1 s, 4.3 s of it minors; ℓ = 3, n = 32
-# (982080) 4.0 s; ℓ = 6, n = 9 (604800) 1.0 s.  Refused, minors alone with
-# the limit lifted: ℓ = 3, n = 35 (1413720) 5.5 s; ℓ = 6, n = 10 (1663200)
-# 3.3 s.  The tests and the benchmark reach 32760 (ℓ = 3, n = 14).
+# random files (shared 2-vCPU x86-64, CPython 3.11, medians): accepted, ℓ = 2,
+# n = 40 (63960) 0.6 s and n = 100 (999900) 5.0 s, 3.8 s of it minors; ℓ = 3,
+# n = 32 (982080) 4.3 s; ℓ = 6, n = 9 (604800) 1.1 s.  Refused, minors alone
+# with the limit lifted: ℓ = 3, n = 35 (1413720) 5.7 s; ℓ = 6, n = 10
+# (1663200) 3.4 s.  The tests and the benchmark reach 32760 (ℓ = 3, n = 14).
 MAX_TYPE_PRODUCTS = 1_000_000
 
 
@@ -51,21 +51,28 @@ class NotMatroidal(ValueError):
     infinity have rank below ℓ+1, so the arrangement is not essential."""
 
 
-def _det_small(rows: Sequence[Sequence], shared: tuple | None = None) -> object:
+def _row_mask(row: Sequence) -> int:
+    """The nonzero columns of a row as an int mask: column j at bit j."""
+    return sum(1 << j for j, a in enumerate(row) if a)
+
+
+def _det_small(rows: Sequence[Sequence], shared: tuple | None = None, masks: list | None = None) -> object:
     """Cofactor-expansion determinant; works over any commutative ring.
 
-    Each row's nonzero columns are read once into an int mask, and ``_expand``
-    expands in place over row positions and a column mask.  Each level expands
-    along the row with the most zeros, the first on a tie (so a matrix without
-    zeros expands along row 0), and skips a zero entry with its subtree: the
-    row at infinity (1, 0, …, 0) and a path's unit rows then cost one call.
+    Each row's nonzero columns are read once into an int mask (``masks``, when
+    the caller holds them), and ``_expand`` expands in place over row positions
+    and a column mask.  Each level expands along the row with the most zeros,
+    the first on a tie (so a matrix without zeros expands along row 0), and
+    skips a zero entry with its subtree: the row at infinity (1, 0, …, 0) and
+    a path's unit rows then cost one call.
 
     ``shared`` = (labels, cols, table) shares sub-determinants between
     matrices: a block whose rows all carry a label (None marks a row that
     differs between them) is keyed by its labels and its column mask (``cols``
     is the whole matrix's), and computed once.  Unless a row has one nonzero
     entry, the sparsest unlabelled row goes first, so the blocks below are keyed."""
-    masks = [sum(1 << j for j, a in enumerate(row) if a) for row in rows]
+    if masks is None:
+        masks = list(map(_row_mask, rows))
     labels, cols, table = shared or (None, (1 << len(rows)) - 1, None)
     return _expand(rows, masks, tuple(range(len(rows))), cols, labels, table)
 
@@ -109,15 +116,16 @@ def _expand(rows, masks, pos, cols, labels, table):
 class Realization:
     """n ordered affine hyperplanes in C^ℓ, rational or one-parameter.
 
-    A realization is an immutable value: ``rows`` is read-only, set once in
-    ``__init__``, and ``n``, ``ell`` and ``is_path`` are read off it.
+    A realization is an immutable value: ``rows`` is read-only and set once
+    in ``__init__``, as are the closure's rows and their ``_row_mask``s
+    (closure index i at position i); ``n``, ``ell`` and ``is_path`` are read off it.
     ``type_at`` memoizes the type of a specialization on the instance.  Every
     specialization of one path shares one table of the minors and sub-minors
     made only of unmoving rows (rows of constant entries, and the row at
     infinity), whose value is the same at every t.
     """
 
-    __slots__ = ("_rows", "_types", "_fixed")
+    __slots__ = ("_rows", "_types", "_fixed", "_closure", "_masks")
 
     def __init__(self, rows: Sequence[Sequence], *, allow_coincident: bool = False):
         rows = [list(r) for r in rows]
@@ -135,9 +143,11 @@ class Realization:
 
         self._rows = tuple(tuple(lift(e) for e in r) for r in rows)
         self._types = {}
-        # (unmoving indices, {(labels, column mask): determinant}), shared with specializations
+        # (label of each closure index, {(labels, column mask): determinant}), shared with specializations
         self._fixed = None
         self._validate(allow_coincident)
+        self._closure = (None, *self._rows, (lift(1),) + (lift(0),) * (width - 1))
+        self._masks = (0, *map(_row_mask, self._closure[1:]))
 
     @property
     def rows(self) -> tuple[tuple, ...]:
@@ -195,11 +205,10 @@ class Realization:
 
     def row(self, i: int):
         """Row of the projective closure, 1-based; i = n+1 is infinity."""
-        if 1 <= i <= len(self._rows):
-            return self._rows[i - 1]
-        if i == self.n + 1:
-            unit = PathPoly.const if self.is_path else Fraction
-            return (unit(1),) + (unit(0),) * self.ell
+        if type(i) is not int:
+            raise ValueError(f"row index {i!r} is not an int")
+        if 1 <= i <= self.n + 1:
+            return self._closure[i]
         raise ValueError(f"row index {i} out of range 1..{self.n + 1}")
 
     def minor(self, I: Iterable[int]):
@@ -208,20 +217,26 @@ class Realization:
         On a specialization of a path it goes through the path's table: row i
         is labelled i when it is unmoving, the same at every t; a moving row
         has no label, so no block that holds it is read back at another t."""
-        I = tuple(I)
-        if len(I) != self.ell + 1 or len(set(I)) != len(I) or list(I) != sorted(I):
+        I, last, top = tuple(I), 0, len(self._closure) - 1
+        ok = len(I) == self.ell + 1
+        for i in I:  # one pass: ints, increasing, at most n+1
+            ok = ok and type(i) is int and last < i <= top
+            last = i
+        if not ok:
+            if not all(type(i) is int for i in I):
+                raise ValueError(f"index set {I} holds an index that is not an int")
+            if len(I) == self.ell + 1 and all(map(int.__lt__, I, I[1:])):
+                raise ValueError(f"index set {I} out of range 1..{top}")
             raise ValueError(f"index set {I} must be a sorted ({self.ell + 1})-subset")
-        if not all(1 <= i <= self.n + 1 for i in I):
-            raise ValueError(f"index set {I} out of range 1..{self.n + 1}")
-        rows = [self.row(i) for i in I]
+        rows, masks = [self._closure[i] for i in I], [self._masks[i] for i in I]
         if self._fixed is None or self.is_path:
-            return _det_small(rows)
-        unmoving, table = self._fixed
-        key = tuple(i if i in unmoving else None for i in I), (1 << len(I)) - 1
+            return _det_small(rows, None, masks)
+        labels, table = self._fixed
+        key = tuple(labels[i] for i in I), (1 << len(I)) - 1
         if None in key[0]:
-            return _det_small(rows, (*key, table))
+            return _det_small(rows, (*key, table), masks)
         if (value := table.get(key)) is None:
-            value = table[key] = _det_small(rows, (*key, table))
+            value = table[key] = _det_small(rows, (*key, table), masks)
         return value
 
     def specialize(self, t) -> "Realization":
@@ -234,8 +249,8 @@ class Realization:
         t = _as_fraction(t)
         out = Realization([[e.evaluate(t) for e in r] for r in self.rows], allow_coincident=not t)
         if self._fixed is None:
-            unmoving = [i for i, r in enumerate(self.rows, start=1) if all(e.is_const() for e in r)]
-            self._fixed = (frozenset(unmoving + [self.n + 1]), {})
+            labels = (i if all(e.is_const() for e in r) else None for i, r in enumerate(self.rows, start=1))
+            self._fixed = ((None, *labels, self.n + 1), {})
         out._fixed = self._fixed
         return out
 

@@ -90,14 +90,62 @@ def test_minor_random_matches_cofactor_expansion():
             assert r.minor(I) == cofactor_det([list(r.row(i)) for i in I])
 
 
+def _n4_realizations():
+    """The triple point, a path with n = 4, ℓ = 2, and the path's
+    specialization at t = 1, which minors through the path's table."""
+    path = Realization(path_rows([["0", "1", "1"], ["0", "1", "0"], ["0", "1", "-1"], ["-t", "0", "1"]]))
+    return {"rational": Realization(TRIPLE_POINT), "path": path, "specialization": path.specialize(1)}
+
+
 def test_minor_validates_index_sets():
-    r = Realization(TRIPLE_POINT)
-    with pytest.raises(ValueError):
-        r.minor((2, 1, 3))  # unsorted
-    with pytest.raises(ValueError):
-        r.minor((1, 2))  # wrong size
-    with pytest.raises(ValueError):
-        r.minor((1, 2, 6))  # out of range
+    """Each refusal with its message, on every kind of realization: a set
+    of the wrong size, unsorted or repeated is refused as such before its
+    range is checked."""
+    refusals = {
+        (2, 1, 3): "must be a sorted (3)-subset",  # unsorted
+        (1, 1, 2): "must be a sorted (3)-subset",  # repeated
+        (1, 2): "must be a sorted (3)-subset",  # wrong size
+        (): "must be a sorted (3)-subset",
+        (6, 1, 2): "must be a sorted (3)-subset",  # unsorted and out of range
+        (0, 1, 2): "out of range 1..5",
+        (1, 2, 6): "out of range 1..5",
+    }
+    for kind, r in _n4_realizations().items():
+        for I, message in refusals.items():
+            with pytest.raises(ValueError) as info:
+                r.minor(I)
+            assert str(info.value) == f"index set {I} {message}", kind
+            with pytest.raises(ValueError) as info:
+                r.minor(list(I))  # any iterable, named as a tuple
+            assert str(info.value) == f"index set {I} {message}", kind
+        assert r.minor(iter((1, 2, 5))) == r.minor((1, 2, 5))
+
+
+@pytest.mark.parametrize("I", [(1.0, 2, 3), (1, 2, 3.0), (1, Fraction(2), 3), ("1", "2", "3"), (1, None, 3)])
+def test_minor_refuses_an_index_that_is_not_an_int(I):
+    for kind, r in _n4_realizations().items():
+        with pytest.raises(ValueError, match=r"^index set .* holds an index that is not an int$") as info:
+            r.minor(I)
+        assert str(I) in str(info.value), kind
+
+
+@pytest.mark.parametrize("i", [1.0, 5.0, Fraction(1), "1", None])
+def test_row_refuses_an_index_that_is_not_an_int(i):
+    for kind, r in _n4_realizations().items():
+        with pytest.raises(ValueError) as info:
+            r.row(i)
+        assert str(info.value) == f"row index {i!r} is not an int", kind
+
+
+def test_closure_rows_are_built_once():
+    """``row`` hands back the same tuples on every call, the row at infinity
+    included, in the realization's entry ring."""
+    for kind, r in _n4_realizations().items():
+        closure = [r.row(i) for i in range(1, r.n + 2)]
+        assert all(r.row(i) is row for i, row in enumerate(closure, start=1)), kind
+        assert closure[:-1] == list(r.rows)
+        ring = PathPoly if kind == "path" else Fraction
+        assert closure[-1] == (1, 0, 0) and {type(e) for e in closure[-1]} == {ring}
 
 
 def test_zero_row_rejected():

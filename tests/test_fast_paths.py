@@ -393,6 +393,46 @@ def test_shared_table_matches_the_cofactor_oracle(pair):
         assert type(value) is ring
 
 
+def _fixed_eight_by_eight(ring, half_zero):
+    """A seeded 8×8 matrix over ``Fraction`` or ``PathPoly`` (degree-1
+    entries) with a nonzero determinant: every entry nonzero, or each zero
+    with odds one half."""
+    rng = random.Random(9)
+
+    def entry():
+        if half_zero and rng.random() < 0.5:
+            return ring(0) if ring is Fraction else PathPoly()
+        top = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 3))
+        return top if ring is Fraction else PathPoly([Fraction(rng.randint(-3, 3)), top])
+
+    return [[entry() for _ in range(8)] for _ in range(8)]
+
+
+@pytest.mark.parametrize("ring", [Fraction, PathPoly], ids=["fraction", "pathpoly"])
+@pytest.mark.parametrize("half_zero", [False, True], ids=["dense", "half-zero"])
+def test_eight_by_eight_determinants_match_the_cofactor_oracle(ring, half_zero):
+    """Fixed 8×8 cases, so a fault in column 7 or row 7 does not wait for
+    Hypothesis to draw an 8×8 matrix: the determinant without a table, with
+    the rows' masks passed in (as ``Realization.minor`` does), and through a
+    shared table with labels and masks, against ``cofactor_det``.  The second
+    matrix through the table swaps the two unlabelled rows, so it reads the
+    first one's labelled blocks back and has the opposite determinant."""
+    def masks(A):
+        return [sum(1 << j for j, a in enumerate(row) if a) for row in A]
+
+    M = _fixed_eight_by_eight(ring, half_zero)
+    expected = cofactor_det(M)
+    assert expected  # a zero determinant would hide a sign fault
+    assert arrangement._det_small(M) == expected
+    assert arrangement._det_small(M, None, masks(M)) == expected
+    labels, table = (1, 2, None, 4, 5, 6, None, 8), {}
+    swapped = M[:2] + M[6:7] + M[3:6] + M[2:3] + M[7:]
+    for A, sign in ((M, 1), (swapped, -1)):
+        got = arrangement._det_small(A, (labels, 255, table), masks(A))
+        assert type(got) is ring and got == sign * expected
+    assert table
+
+
 # ---------------------------------------------------------------------------
 # MultiPoly: term times term, direct subtraction, division by a monomial
 # ---------------------------------------------------------------------------

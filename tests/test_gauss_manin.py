@@ -500,6 +500,41 @@ def test_rational_compute_type_evaluates_every_minor(monkeypatch):
     assert len(calls) == 2 * math.comb(5, 3)
 
 
+def _masked_rows(monkeypatch):
+    """A list that gains each row whose nonzero-column mask is read."""
+    from gmarr import arrangement
+
+    real, rows = arrangement._row_mask, []
+
+    def counted(row):
+        rows.append(row)
+        return real(row)
+
+    monkeypatch.setattr(arrangement, "_row_mask", counted)
+    return rows
+
+
+def test_closure_row_masks_are_read_once_per_realization(monkeypatch):
+    """Each closure row's mask is read once, when the realization is built,
+    not once per minor (3·C(5, 3) = 30 reads for the triple point): typing
+    the triple point twice reads none, and typing both ends of a path reads
+    the n+1 rows of each endpoint."""
+    masked = _masked_rows(monkeypatch)
+    r = rational_rows(TRIPLE_POINT_ROWS)
+    assert masked == [r.row(i) for i in range(1, r.n + 2)]
+    masked.clear()
+    assert compute_type(r) == compute_type(r) and masked == []
+    for rows in (PATH_T1, PATH_SELBERG, PATH_ALL_MOVING):
+        r = path_rows(rows)
+        masked.clear()
+        ends = [r.specialize(t) for t in (1, 0)]
+        assert masked == [s.row(i) for s in ends for i in range(1, r.n + 2)]
+        masked.clear()
+        for s in ends:
+            compute_type(s)
+        assert masked == []
+
+
 def test_path_typing_refuses_oversized_inputs_before_any_minor(monkeypatch):
     from gmarr import arrangement
 
